@@ -59,9 +59,7 @@ func run() error {
 		csvDir   = flag.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
 		benchSel = flag.String("benchmarks", "", "comma-separated benchmark subset for single-programmed figures")
 		mixSel   = flag.String("mixes", "", "comma-separated mix subset (M1..M8) for multi-programmed figures")
-		parallel = flag.Int("parallel", 0, "shard each simulated machine across OS threads (0/1 = sequential, >=2 = processor/memory shards; output is byte-identical)")
 		nopool   = flag.Bool("nopool", false, "build a fresh machine per run instead of reusing pooled ones (output is byte-identical either way; this flag exists so scripts can prove it)")
-		parShard = flag.Bool("parshard-report", false, "after the figures, print the parallel engine's per-shard busy/wait/barrier occupancy and pipeline-stall fraction (requires -parallel >= 2)")
 
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (pprof) covering all selected figures to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (pprof) taken after all figures to this file")
@@ -117,7 +115,6 @@ func run() error {
 		cfg.FaultSeed = *faultSeed
 	}
 	cfg.CheckInvariants = *invariants
-	cfg.Parallel = *parallel
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -288,20 +285,6 @@ func run() error {
 				fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
 			if pub != nil {
 				s.PublishTo(pub)
-			}
-		}
-	}
-	if *parShard {
-		// The session folds every parallel run's epoch profile as it
-		// completes, so the report covers all figures above.
-		fig, err := s.ShardReport()
-		if err != nil {
-			return fmt.Errorf("parshard-report: %w", err)
-		}
-		fmt.Fprint(out, fig.Render())
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, fig); err != nil {
-				return err
 			}
 		}
 	}

@@ -81,13 +81,8 @@ type Config struct {
 	// CheckInvariants enables the per-swap runtime invariant checker.
 	CheckInvariants bool `json:"check_invariants"`
 
-	// Parallel selects the execution engine: 0 or 1 runs the sequential
-	// engine; >= 2 shards the machine across OS threads (processor side
-	// and memory side — values above 2 behave identically, the
-	// decomposition has two domains; see DESIGN.md §5.3). Results are
-	// byte-identical either way, so this is an execution knob, not a
-	// model parameter.
-	Parallel int `json:"parallel"`
+	// Deprecated: ignored; execution is always sequential.
+	Parallel int `json:"-"`
 }
 
 // Default returns the full-scale Table 1 system: 8 GB of DDR3-1600 on
@@ -140,6 +135,12 @@ func (c *Config) Validate() error {
 	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
 		return fmt.Errorf("config: warmup_frac must be in [0,1)")
 	}
+	// The core clock period is 1000/cpu_ghz picoseconds rounded to a
+	// whole picosecond (sim.NewClockHz): above 2000 GHz it rounds to
+	// zero, and below 1 Hz it leaves the range of sim.Time.
+	if !(c.CPUGHz >= 1e-9 && c.CPUGHz <= 2000) {
+		return fmt.Errorf("config: cpu_ghz must be in [1e-9, 2000]")
+	}
 	if _, err := core.ParseReplacement(c.Replacement); err != nil {
 		return err
 	}
@@ -149,9 +150,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MigRetries < 0 {
 		return fmt.Errorf("config: fault_mig_retries must be non-negative")
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("config: parallel must be non-negative")
 	}
 	if err := c.Geometry().Validate(); err != nil {
 		return err

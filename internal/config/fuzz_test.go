@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // FuzzConfigJSON feeds arbitrary bytes through Parse: any input must
@@ -28,6 +29,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add([]byte(`{"FastDenom":1000000,"GroupSize":-1}`))
 	f.Add([]byte(`{"WeakRowRate":2.5,"MigFailRate":-1}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"cpu_ghz":0}`))
+	f.Add([]byte(`{"cpu_ghz":5000}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Parse(data)
@@ -36,6 +39,7 @@ func FuzzConfigJSON(f *testing.F) {
 		}
 		// A config that passed validation must be usable end to end.
 		c.Geometry()
+		sim.NewClockHz(c.CPUGHz * 1e9)
 		for _, d := range []core.Design{core.Standard, core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS} {
 			c.DRAMConfig(d)
 			if _, err := c.ManagerConfig(d); err != nil {

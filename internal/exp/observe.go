@@ -31,14 +31,6 @@ type ObserveOptions struct {
 	// Which loads are sampled is derived from the workload seed and the
 	// core id, so sampling is deterministic and never perturbs figures.
 	ReqTraceN int
-	// ShardProf merges the parallel engine's per-shard occupancy
-	// profile (par.up.* / par.down.* wall-clock nanoseconds, epochs and
-	// mailbox-depth counts) into the metrics snapshot. Off by default:
-	// these are host wall-clock values, so enabling them intentionally
-	// gives up the timeline's run-to-run byte identity (figure bytes
-	// are unaffected either way). Requires Metrics; no-op on sequential
-	// runs.
-	ShardProf bool
 }
 
 // DefaultIntervalPS is the default timeline epoch: 100 µs of simulated
@@ -57,26 +49,12 @@ type Observer struct {
 	Timeline *telemetry.Timeline
 	Req      *reqtrace.Recorder
 
-	// RegMC and TraceMC are the memory-side shard's private instruments,
-	// non-nil only when the system runs on the parallel engine: the down
-	// shard fires events on its own OS thread, so the controller and
-	// device must never share mutable instruments with the processor
-	// side. Metric names are disjoint across the two registries and every
-	// snapshot merges them sorted by name (telemetry.SnapshotAll), so
-	// timeline and published output stay byte-identical to a sequential
-	// run. Trace events have no such order-free merge — equal-timestamp
-	// interleaving is an append-order artifact — so TraceMC exports as
-	// its own Perfetto process, labeled "<run>/mc".
-	RegMC   *telemetry.Registry
-	TraceMC *telemetry.TraceRecorder
-
-	shardProf  bool
 	nextSnapPS int64
 	// snapPS is the simulated time the latest snapshot was taken at, set
-	// before polling the registries. Rate-derived samples (background
-	// energy) read it instead of an engine clock so sequential and
-	// parallel runs — whose memory-side engine may sit at a different
-	// point within the same epoch barrier — snapshot identical values.
+	// before polling the registry. Rate-derived samples (background
+	// energy) read it instead of the engine clock, so a snapshot taken
+	// after the run — when a pooled machine may already have been reset
+	// for the next one — still reports the run's final value.
 	snapPS int64
 }
 
@@ -103,7 +81,6 @@ func newObserver(label string, seed uint64, opt *ObserveOptions) *Observer {
 	if opt.ReqTraceN > 0 {
 		o.Req = reqtrace.NewRecorder(label, opt.ReqTraceN, seed)
 	}
-	o.shardProf = opt.ShardProf
 	return o
 }
 
@@ -115,7 +92,7 @@ func (o *Observer) maybeSnap(nowPS int64) {
 		return
 	}
 	o.snapPS = nowPS
-	o.Timeline.Snap(nowPS, o.Reg, o.RegMC)
+	o.Timeline.Snap(nowPS, o.Reg)
 	interval := o.Timeline.IntervalPS
 	o.nextSnapPS = (nowPS/interval + 1) * interval
 }
@@ -129,7 +106,7 @@ func (o *Observer) finish(nowPS int64) {
 	if o.Timeline == nil {
 		return
 	}
-	o.Timeline.Snap(nowPS, o.Reg, o.RegMC)
+	o.Timeline.Snap(nowPS, o.Reg)
 }
 
 // AttachObserver instruments every component of the system with obs
@@ -140,35 +117,16 @@ func (s *System) AttachObserver(obs *Observer) {
 	}
 	s.obs = obs
 	reg := obs.Reg
-	// On the parallel engine the controller and device fire on the down
-	// shard's OS thread: give them a private registry and trace recorder
-	// so no instrument is mutated from two goroutines. Snapshots only
-	// happen at full barriers (System.observe) or after the run, where
-	// the channel handoff orders the down shard's writes before the read.
-	regMC, traceMC := reg, obs.Trace
-	if s.Par != nil {
-		if obs.Reg != nil {
-			obs.RegMC = telemetry.New()
-		}
-		if obs.Trace != nil {
-			obs.TraceMC = telemetry.NewTraceRecorder(obs.Label + "/mc")
-		}
-		regMC, traceMC = obs.RegMC, obs.TraceMC
-	}
-	s.Dev.AttachTelemetry(regMC)
-	s.Ctl.AttachTelemetry(regMC, traceMC)
-	if regMC.Enabled() {
+	s.Dev.AttachTelemetry(reg)
+	s.Ctl.AttachTelemetry(reg, obs.Trace)
+	if reg.Enabled() {
 		// Background/standby energy is a rate (mW x elapsed ns = pJ), not
 		// an event count, so it is derived from the snapshot's timestamp
-		// rather than accumulated per command. The observer's snap clock —
-		// not an engine clock — keeps the value byte-identical between
-		// sequential and parallel runs: at an epoch barrier the memory-side
-		// engine may legitimately sit at a different instant than the
-		// observation point that stamps the timeline row.
+		// (see Observer.snapPS) rather than accumulated per command.
 		g := s.Dev.Geometry()
 		ranks := g.Channels * g.Ranks
 		em := s.Dev.EnergyModel()
-		regMC.Sample("dram.energy_pj.background", func() int64 {
+		reg.Sample("dram.energy_pj.background", func() int64 {
 			return em.BackgroundPJ(ranks, obs.snapPS/int64(sim.Nanosecond))
 		})
 	}
@@ -184,27 +142,7 @@ func (s *System) AttachObserver(obs *Observer) {
 		c.AttachTelemetry(reg)
 	}
 	if reg.Enabled() {
-		if par := s.Par; par != nil {
-			reg.Sample("sim.events_executed", func() int64 { return int64(par.Executed()) })
-		} else {
-			reg.Sample("sim.events_executed", func() int64 { return int64(s.Eng.Executed()) })
-		}
-	}
-	if par := s.Par; par != nil && obs.shardProf && reg.Enabled() {
-		// Epoch-profiler occupancy, polled at snapshot time. Both shards'
-		// profiles are safe to read from the host goroutine here:
-		// snapshots happen at full epoch barriers or after the run, where
-		// the barrier's channel receive orders the down shard's writes
-		// before the read. Registered on the up-shard registry — sample
-		// functions run on the host goroutine, never on the down shard's
-		// OS thread.
-		for i, side := range []string{"up", "down"} {
-			i := i
-			reg.Sample("par."+side+".busy_ns", func() int64 { return par.Prof(i).BusyNS })
-			reg.Sample("par."+side+".wait_ns", func() int64 { return par.Prof(i).WaitNS })
-			reg.Sample("par."+side+".barrier_ns", func() int64 { return par.Prof(i).BarrierNS })
-			reg.Sample("par."+side+".epochs", func() int64 { return int64(par.Prof(i).Epochs) })
-		}
+		reg.Sample("sim.events_executed", func() int64 { return int64(s.Eng.Executed()) })
 	}
 	if obs.Req != nil {
 		if obs.Trace != nil {
@@ -278,9 +216,6 @@ func (s *Session) WriteTrace(w io.Writer) error {
 		if o.Trace != nil {
 			recs = append(recs, o.Trace)
 		}
-		if o.TraceMC != nil {
-			recs = append(recs, o.TraceMC)
-		}
 	}
 	return telemetry.EncodeTrace(w, recs)
 }
@@ -313,7 +248,7 @@ func (s *Session) WriteReqTraceJSON(w io.Writer) error {
 func (s *Session) PublishTo(p *telemetry.Publisher) {
 	for _, o := range s.Observers() {
 		if o.Reg != nil {
-			p.Publish(o.Label, telemetry.SnapshotAll(nil, o.Reg, o.RegMC))
+			p.Publish(o.Label, o.Reg.Snapshot(nil))
 		}
 	}
 }

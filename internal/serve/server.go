@@ -375,12 +375,14 @@ func (s *Server) execute(jb *job) {
 
 // runIsolated invokes the runner behind a recover barrier: a panicking
 // job becomes a structured 500 for its waiters and the worker — and
-// every sibling job — survives.
+// every sibling job — survives. The goroutine stack goes to the server
+// log only (Options.Logf); clients see the panic value.
 func (s *Server) runIsolated(ctx context.Context, spec *Job) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.logf("job %s panicked: %v\n%s", spec.KeyHex(), r, debug.Stack())
 			err = &Error{Status: http.StatusInternalServerError, Kind: KindPanic,
-				Msg: fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack())}
+				Msg: fmt.Sprintf("job panicked: %v", r)}
 		}
 	}()
 	return s.runner(ctx, spec)

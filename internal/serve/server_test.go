@@ -191,9 +191,16 @@ func TestOverloadSheds(t *testing.T) {
 // waiter while sibling jobs and the server itself keep working.
 func TestPanicIsolation(t *testing.T) {
 	release := make(chan struct{})
+	var logMu sync.Mutex
+	var logged strings.Builder
 	_, ts := newTestServer(t, Options{
 		Workers:    2,
 		QueueDepth: 8,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logged, format+"\n", args...)
+		},
 		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
 			if spec.Figure == "7b" {
 				panic("tag directory corrupted")
@@ -237,6 +244,16 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if sibStatus != http.StatusOK || string(sibBody) != "sibling ok" {
 		t.Fatalf("sibling of panicking job got HTTP %d %q", sibStatus, sibBody)
+	}
+	// The stack is for the operator's log, never the client.
+	if strings.Contains(string(data), "goroutine ") {
+		t.Fatalf("panic body leaks a goroutine stack: %s", data)
+	}
+	logMu.Lock()
+	stackLogged := strings.Contains(logged.String(), "goroutine ")
+	logMu.Unlock()
+	if !stackLogged {
+		t.Fatalf("panic stack missing from the server log:\n%s", logged.String())
 	}
 	// Panics are failures, so they are not cached: a retry re-runs and
 	// panics again rather than serving a poisoned entry.
@@ -376,6 +393,7 @@ func TestBadRequests(t *testing.T) {
 		`{"figure": "7a", "design": "das"}`,
 		`{"design": "das"}`,
 		`{"figure": "7a", "config": {"rows_per_bank": -4}}`,
+		`{"figure": "7a", "config": {"cpu_ghz": 0}}`,
 	} {
 		resp, data := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -203,3 +203,83 @@ func TestEngineReset(t *testing.T) {
 	}
 	e.Release()
 }
+
+// TestScheduleBeyond2To44 pins that simulated time is bounded only by
+// Time itself: events scheduled from instants past 2^44 ps (~17.6 s)
+// fire in (at, FIFO) order like any others.
+func TestScheduleBeyond2To44(t *testing.T) {
+	const h = Time(1) << 44
+	e := NewEngine()
+	defer e.Release()
+	var got []string
+	rec := func(id string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%d", id, e.Now())) }
+	}
+	e.ScheduleAt(h-1, rec("a"))
+	e.ScheduleAt(h+1, func() {
+		rec("b")()
+		e.ScheduleAt(h+1, rec("d")) // same instant: FIFO behind c
+		e.ScheduleAt(1<<50, rec("f"))
+		e.Schedule(1, rec("g"))
+	})
+	e.ScheduleAt(h+1, rec("c"))
+	e.ScheduleAt(1<<50, rec("e"))
+	e.ScheduleAt(1<<60, func() {
+		rec("h")()
+		e.Schedule(0, rec("i"))
+	})
+	e.Run()
+	want := fmt.Sprint([]string{
+		fmt.Sprintf("a@%d", h-1), fmt.Sprintf("b@%d", h+1), fmt.Sprintf("c@%d", h+1),
+		fmt.Sprintf("d@%d", h+1), fmt.Sprintf("g@%d", h+2), fmt.Sprintf("e@%d", 1<<50),
+		fmt.Sprintf("f@%d", 1<<50), fmt.Sprintf("h@%d", 1<<60), fmt.Sprintf("i@%d", 1<<60),
+	})
+	if fmt.Sprint(got) != want {
+		t.Fatalf("firing order %v, want %v", got, want)
+	}
+}
+
+// TestManyEventsAtOneInstant schedules more than 2^20 events while the
+// clock sits at one instant (a few pending at a time, each firing event
+// scheduling the next) and asserts they fire in scheduling order, all
+// before an event one picosecond later.
+func TestManyEventsAtOneInstant(t *testing.T) {
+	const (
+		n      = 1<<20 + 1000
+		window = 4
+		at     = Time(5000)
+	)
+	e := NewEngine()
+	defer e.Release()
+	scheduled, fired := 0, 0
+	var sched func()
+	sched = func() {
+		id := scheduled
+		scheduled++
+		e.ScheduleAt(at, func() {
+			if e.Now() != at || id != fired {
+				t.Fatalf("event %d fired as number %d at t=%d", id, fired, e.Now())
+			}
+			fired++
+			if scheduled < n {
+				sched()
+			}
+		})
+	}
+	tail := false
+	e.ScheduleAt(at, func() {
+		e.Schedule(1, func() {
+			if fired != n {
+				t.Fatalf("later event fired after %d of %d same-instant events", fired, n)
+			}
+			tail = true
+		})
+		for i := 0; i < window; i++ {
+			sched()
+		}
+	})
+	e.Run()
+	if fired != n || !tail {
+		t.Fatalf("fired %d of %d same-instant events (tail fired: %v)", fired, n, tail)
+	}
+}

@@ -42,33 +42,12 @@ func FromNS(ns float64) Time {
 // NS reports t in nanoseconds as a float.
 func (t Time) NS() float64 { return float64(t) / 1000 }
 
-// Sequence numbers encode the scheduling instant in their high bits and
-// a per-instant FIFO counter in the low bits:
-//
-//	seq = uint64(scheduling-time) << seqCounterBits | counter
-//
-// Engine time never decreases between schedules, so this order is
-// exactly the old global-counter FIFO order — goldens are unaffected —
-// while making the scheduling instant recoverable from the sequence
-// number alone. The parallel engine depends on that: a cross-shard
-// message ordered by its sender-side sequence number interleaves with a
-// receiver's local events precisely where the sequential engine would
-// have fired it, because both shards' high bits live on the same global
-// picosecond clock (see par_engine.go).
-const (
-	seqCounterBits = 20
-	seqCounterMax  = 1<<seqCounterBits - 1
-	// maxSeqInstant bounds schedulable time to 2^44 ps (~17.6 s of
-	// simulated time, ~35x the experiment watchdog ceiling).
-	maxSeqInstant = Time(1)<<(64-seqCounterBits) - 1
-)
-
 // entry is a single scheduled callback, stored by value inside the
 // event queue: scheduling allocates no per-event heap node. Exactly one
 // of fn (closure form) and cfn (bound-call form) is set.
 type entry struct {
 	at  Time
-	seq uint64 // (instant, counter) tie-break for equal timestamps; see above
+	seq uint64 // scheduling-order tie-break for equal timestamps
 	fn  func()
 	cfn func(a, b any)
 	a   any
@@ -96,9 +75,7 @@ func (e *entry) fire() {
 // NewEngine additionally recycles queue storage from earlier engines.
 type Engine struct {
 	now    Time
-	seqAt  Time   // instant the per-instant counter belongs to
-	seqCtr uint64 // next counter value at seqAt
-	cur    uint64 // sequence number of the event currently firing
+	seqCtr uint64 // last sequence number handed out
 	q      eventQueue
 	// Executed counts events that have fired; useful for diagnostics.
 	executed uint64
@@ -129,21 +106,12 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending reports how many events are waiting to fire.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// allocSeq hands out the next sequence number: the current instant in
-// the high bits, a per-instant FIFO counter in the low bits.
+// allocSeq hands out the next sequence number. Scheduling instants
+// never decrease, so a plain counter orders events at equal timestamps
+// in FIFO order of scheduling.
 func (e *Engine) allocSeq() uint64 {
-	if e.now != e.seqAt {
-		e.seqAt, e.seqCtr = e.now, 0
-	}
-	c := e.seqCtr
-	if c > seqCounterMax {
-		panic(fmt.Sprintf("sim: more than %d events scheduled at t=%d", seqCounterMax+1, e.now))
-	}
-	if e.now > maxSeqInstant {
-		panic(fmt.Sprintf("sim: schedule beyond representable time (t=%d > %d)", e.now, maxSeqInstant))
-	}
 	e.seqCtr++
-	return uint64(e.now)<<seqCounterBits | c
+	return e.seqCtr
 }
 
 // nextAt returns the timestamp of the earliest pending event.
@@ -152,21 +120,6 @@ func (e *Engine) nextAt() (Time, bool) {
 		return 0, false
 	}
 	return e.q.minAt(), true
-}
-
-// peekNext exposes the (at, seq) key of the earliest pending event
-// without removing it. The parallel engine's shard loop uses this to
-// merge cross-shard messages against the local queue. The peek must be
-// non-destructive: a pop-and-restash would advance the timing wheel's
-// window base past the current time, and callbacks of messages
-// delivered before the stash fires would then push below base — the
-// exact base-retreat stranding the wheel's push comment rules out.
-func (e *Engine) peekNext() (Time, uint64, bool) {
-	if e.q.len() == 0 {
-		return 0, 0, false
-	}
-	at, seq := e.q.minKey()
-	return at, seq, true
 }
 
 // Schedule runs fn after delay.
@@ -230,30 +183,9 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.q.pop()
 	e.now = ev.at
-	e.cur = ev.seq
 	e.executed++
 	ev.fire()
 	return true
-}
-
-// deliver executes a cross-shard message as if it were a locally
-// scheduled event: the clock advances to the delivery instant and the
-// message's sender-side key becomes the current sequence number, so any
-// events (or further messages) it schedules order exactly as they would
-// have in a sequential run. Synchronous-call messages (exec false) were
-// never engine events sequentially, so only scheduled-event messages
-// count toward Executed.
-func (e *Engine) deliver(m *xmsg) {
-	if m.at < e.now {
-		panic(fmt.Sprintf("sim: cross-shard delivery at past time %d (now %d, sent at %d)",
-			m.at, e.now, m.key>>seqCounterBits))
-	}
-	e.now = m.at
-	e.cur = m.key
-	if m.exec {
-		e.executed++
-	}
-	m.fire()
 }
 
 // RunUntil fires events in timestamp order until the queue is empty or the
@@ -290,7 +222,7 @@ func (e *Engine) Drain() { e.q.reset() }
 func (e *Engine) Reset() {
 	e.q.reset()
 	e.q.attachPooled()
-	e.now, e.seqAt, e.seqCtr, e.cur, e.executed = 0, 0, 0, 0, 0
+	e.now, e.seqCtr, e.executed = 0, 0, 0
 }
 
 // Release discards any pending events, returns the queue's backing

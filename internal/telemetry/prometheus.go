@@ -30,41 +30,27 @@ type promFamily struct {
 	hist *Histogram // set for KindHistogram
 }
 
-// EncodePrometheus writes every instrument of regs (nil entries are
-// skipped) to w in Prometheus text exposition format. Counters map to
+// EncodePrometheus writes every instrument of r (nil writes nothing) to
+// w in Prometheus text exposition format. Counters map to
 // `counter`, gauges and sampled functions to `gauge`, histograms to
 // native `histogram` families with cumulative le buckets, _sum and
 // _count. Families are emitted in sorted exposition-name order; the
-// caller must serialize access to the registries (instruments are
+// caller must serialize access to the registry (instruments are
 // single-threaded by contract).
-func EncodePrometheus(w io.Writer, regs ...*Registry) error {
+func EncodePrometheus(w io.Writer, r *Registry) error {
 	var fams []promFamily
-	seen := make(map[string]bool)
-	add := func(f promFamily) {
-		// Disjoint-name registries are the norm (the parallel engine's
-		// per-shard split); on a collision the first family wins so the
-		// output stays valid exposition format.
-		if seen[f.name] {
-			return
-		}
-		seen[f.name] = true
-		fams = append(fams, f)
-	}
-	for _, r := range regs {
-		if r == nil {
-			continue
-		}
+	if r != nil {
 		for _, c := range r.counters {
-			add(promFamily{name: promName(c.name), orig: c.name, kind: KindCounter, val: float64(c.v)})
+			fams = append(fams, promFamily{name: promName(c.name), orig: c.name, kind: KindCounter, val: float64(c.v)})
 		}
 		for _, g := range r.gauges {
-			add(promFamily{name: promName(g.name), orig: g.name, kind: KindGauge, val: float64(g.v)})
+			fams = append(fams, promFamily{name: promName(g.name), orig: g.name, kind: KindGauge, val: float64(g.v)})
 		}
 		for _, s := range r.sampled {
-			add(promFamily{name: promName(s.name), orig: s.name, kind: KindSampled, val: float64(s.fn())})
+			fams = append(fams, promFamily{name: promName(s.name), orig: s.name, kind: KindSampled, val: float64(s.fn())})
 		}
 		for _, h := range r.hists {
-			add(promFamily{name: promName(h.name), orig: h.name, kind: KindHistogram, hist: h})
+			fams = append(fams, promFamily{name: promName(h.name), orig: h.name, kind: KindHistogram, hist: h})
 		}
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })

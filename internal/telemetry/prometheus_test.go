@@ -49,22 +49,24 @@ func TestEncodePrometheusDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestEncodePrometheusNilAndMultiRegistry(t *testing.T) {
-	r1 := New()
-	r1.Counter("a.one").Inc()
-	r2 := New()
-	r2.Counter("b.two").Add(2)
+func TestEncodePrometheusNilAndSorted(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodePrometheus(&buf, nil, r2, nil, r1); err != nil {
+	if err := EncodePrometheus(&buf, nil); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry: err %v, output %q", err, buf.Bytes())
+	}
+	r := New()
+	r.Counter("b.two").Add(2)
+	r.Gauge("a.one").Set(1)
+	if err := EncodePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateExposition(buf.Bytes()); err != nil {
-		t.Fatalf("multi-registry output invalid: %v\n%s", err, buf.Bytes())
+		t.Fatalf("output invalid: %v\n%s", err, buf.Bytes())
 	}
-	// Families are sorted across registries regardless of argument order.
+	// Families are sorted by name across instrument kinds.
 	out := buf.String()
 	if strings.Index(out, "a_one") > strings.Index(out, "b_two") {
-		t.Fatalf("families not sorted across registries:\n%s", out)
+		t.Fatalf("families not sorted across kinds:\n%s", out)
 	}
 }
 

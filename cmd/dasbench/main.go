@@ -70,7 +70,7 @@ func run() error {
 		metricsOut  = flag.String("metrics-out", "", "write per-run epoch metric timelines to this file (.json = JSON, anything else = CSV)")
 		timelineOut = flag.String("timeline", "", "write simulated DRAM/migration/fault events as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
 		epochMS     = flag.Float64("timeline-interval", 0.1, "metric snapshot epoch in simulated milliseconds")
-		httpAddr    = flag.String("http", "", "serve a debug endpoint (completed-run /metrics, /debug/vars, /debug/pprof) on this address, e.g. :8080")
+		httpAddr    = flag.String("http", "", "serve live profiling (/debug/pprof) on this address, e.g. :8080")
 		reqTraceN   = flag.Int("reqtrace", 0, "trace one in N measured demand loads per core through the hierarchy (0 = off; never changes figure output)")
 		reqTraceOut = flag.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file (.json = JSON, anything else = CSV)")
 		explainSel  = flag.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
@@ -186,23 +186,21 @@ func run() error {
 	if *explainSel != "" && traceEvery <= 0 {
 		traceEvery = 1 // -explain needs the flight recorder; default to every load
 	}
-	if *metricsOut != "" || *timelineOut != "" || *httpAddr != "" || traceEvery > 0 {
+	if *metricsOut != "" || *timelineOut != "" || traceEvery > 0 {
 		s.Observe = &exp.ObserveOptions{
-			Metrics:    *metricsOut != "" || *httpAddr != "",
+			Metrics:    *metricsOut != "",
 			Trace:      *timelineOut != "",
 			IntervalPS: int64(*epochMS * 1e9),
 			ReqTraceN:  traceEvery,
 		}
 	}
-	var pub *telemetry.Publisher
 	if *httpAddr != "" {
-		pub = telemetry.NewPublisher()
-		addr, err := pub.Serve(*httpAddr)
+		dbg, addr, err := telemetry.ServeDebug(*httpAddr)
 		if err != nil {
 			return err
 		}
-		log.Printf("debug endpoint: http://%s/", addr)
-		defer pub.Shutdown(context.Background())
+		log.Printf("debug endpoint: http://%s/debug/pprof/", addr)
+		defer dbg.Shutdown(context.Background())
 	}
 
 	// Ctrl-C / SIGTERM cancels the in-flight figure promptly: the session
@@ -262,9 +260,6 @@ func run() error {
 		perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
 			fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
 			fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-		if pub != nil {
-			s.PublishTo(pub)
-		}
 	}
 	if *explainSel != "" && ctx.Err() == nil {
 		fig, err := s.Measured(func() (*exp.Figure, error) { return s.Explain(explainA, explainB) })
@@ -283,9 +278,6 @@ func run() error {
 			perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
 				fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
 				fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-			if pub != nil {
-				s.PublishTo(pub)
-			}
 		}
 	}
 	if *csvDir != "" {

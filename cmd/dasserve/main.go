@@ -63,7 +63,7 @@ func run() error {
 		fullScal = flag.Bool("full-scale", false, "use the full 8 GB Table 1 memory as the base config")
 		instr    = flag.Uint64("instr", 0, "base instructions per core (0 = config default)")
 		seed     = flag.Uint64("seed", 0, "base workload seed override")
-		debugAt  = flag.String("debug", "", "also serve the telemetry debug endpoint (/metrics, /debug/pprof) on this address")
+		debugAt  = flag.String("debug", "", "also serve live profiling (/debug/pprof) on this address")
 		logJSON  = flag.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
 		poolMB   = flag.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget, <0 = pooling off)")
 	)
@@ -117,14 +117,13 @@ func run() error {
 	}
 	srv := serve.New(opts)
 
-	var pub *telemetry.Publisher
 	if *debugAt != "" {
-		pub = telemetry.NewPublisher()
-		dbgAddr, err := pub.Serve(*debugAt)
+		dbg, dbgAddr, err := telemetry.ServeDebug(*debugAt)
 		if err != nil {
 			return err
 		}
-		log.Printf("debug endpoint on http://%s/metrics", dbgAddr)
+		log.Printf("debug endpoint on http://%s/debug/pprof/", dbgAddr)
+		defer dbg.Shutdown(context.Background())
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -162,13 +161,6 @@ func run() error {
 	defer hcancel()
 	if err := hs.Shutdown(hctx); err != nil {
 		log.Printf("http shutdown: %v", err)
-	}
-
-	// Flush telemetry: publish the final server snapshot, then the
-	// idempotent Publisher.Shutdown (harmless when -debug is off).
-	pub.Publish("dasserve", srv.Snapshot())
-	if err := pub.Shutdown(context.Background()); err != nil {
-		log.Printf("debug shutdown: %v", err)
 	}
 	if drainErr != nil && !errors.Is(drainErr, context.Canceled) {
 		log.Printf("drain: in-flight jobs cancelled at deadline")

@@ -6,13 +6,39 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/mc"
 	"repro/internal/sim"
 	"repro/internal/timing"
+	"repro/internal/workload"
+)
+
+// Bounds on the machine one configuration may describe. The size caps
+// stop a single request from making Build allocate without limit: each
+// bounds a structure Build allocates in proportion to the field. The
+// time caps stop one from making a short run simulate hours of DRAM
+// refresh. Table 1's machine is far inside all of them.
+const (
+	MaxCores          = 64
+	MaxDRAMBytes      = 64 << 30  // 8x Table 1's 8 GB
+	MaxCacheKB        = 64 << 10  // each of L1, L2 and LLC
+	MaxCacheTotalKB   = 128 << 10 // every core's L1 and L2 plus the LLC
+	MaxTagCacheKB     = 2 << 10   // Fig 9a's largest 256 KB, scaled to MaxDRAMBytes
+	MaxROB            = 4096
+	MaxFilterCounters = 1 << 16
+
+	MinCPUGHz        = 0.01
+	MaxCPUGHz        = 2000
+	MaxLatencyCycles = 1000  // per cache level
+	MaxMigrationNS   = 10000 // 68x Table 1's 146.25 ns
+	MaxMigRetries    = 16
 )
 
 // Config is the complete system description.
@@ -124,10 +150,14 @@ func (c *Config) MemoryScale() float64 {
 	return float64(c.Geometry().Capacity()) / float64(8<<30)
 }
 
-// Validate checks cross-field consistency.
+// Validate checks cross-field consistency. It is the one boundary: every
+// component Build wires is validated here through the same mapping Build
+// uses (CPUConfig, CacheConfig, MCConfig, DRAMConfig, ManagerConfig), so
+// a config Validate accepts builds for every design. It allocates
+// nothing on success, because pooled runs call it on every Reset.
 func (c *Config) Validate() error {
-	if c.Cores <= 0 {
-		return fmt.Errorf("config: cores must be positive")
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("config: cores must be in 1..%d", MaxCores)
 	}
 	if c.InstrPerCore == 0 {
 		return fmt.Errorf("config: instr_per_core must be positive")
@@ -137,24 +167,141 @@ func (c *Config) Validate() error {
 	}
 	// The core clock period is 1000/cpu_ghz picoseconds rounded to a
 	// whole picosecond (sim.NewClockHz): above 2000 GHz it rounds to
-	// zero, and below 1 Hz it leaves the range of sim.Time.
-	if !(c.CPUGHz >= 1e-9 && c.CPUGHz <= 2000) {
-		return fmt.Errorf("config: cpu_ghz must be in [1e-9, 2000]")
+	// zero. Below 10 MHz the DRAM's refresh events, not the workload,
+	// set the host cost: a 1 Hz core simulates ~10^8 of them for 1000
+	// instructions.
+	if !(c.CPUGHz >= MinCPUGHz && c.CPUGHz <= MaxCPUGHz) {
+		return fmt.Errorf("config: cpu_ghz must be in [%g, %g]", float64(MinCPUGHz), float64(MaxCPUGHz))
 	}
-	if _, err := core.ParseReplacement(c.Replacement); err != nil {
+	if c.ROB > MaxROB {
+		return fmt.Errorf("config: rob must be at most %d", MaxROB)
+	}
+	cc := c.CPUConfig()
+	if err := cc.Validate(); err != nil {
+		return err
+	}
+	for _, lvl := range [...]CacheLevel{L1, L2, LLC} {
+		kb, _, lat, _ := c.level(lvl)
+		if kb <= 0 || kb > MaxCacheKB {
+			return fmt.Errorf("config: %s cache size must be in 1..%d KB, got %d", lvl, MaxCacheKB, kb)
+		}
+		if lat > MaxLatencyCycles {
+			return fmt.Errorf("config: %s latency must be at most %d cycles, got %d", lvl, MaxLatencyCycles, lat)
+		}
+		lc := c.CacheConfig(lvl)
+		if err := lc.Validate(); err != nil {
+			return err
+		}
+	}
+	if total := c.Cores*(c.L1KB+c.L2KB) + c.LLCKB; total > MaxCacheTotalKB {
+		return fmt.Errorf("config: %d KB of cache across %d cores exceeds %d KB", total, c.Cores, MaxCacheTotalKB)
+	}
+	mcc := c.MCConfig()
+	if err := mcc.Validate(); err != nil {
+		return err
+	}
+	dc := c.DRAMConfig(core.DAS)
+	if err := dc.Validate(); err != nil {
+		return err
+	}
+	// Every dimension is a power of two, so log2(capacity) is the sum of
+	// the dimensions' logs; the product itself could overflow.
+	g := &dc.Geometry
+	capLog := 0
+	for _, d := range [...]int{g.Channels, g.Ranks, g.Banks, g.Rows, g.Columns, g.BlockSize} {
+		capLog += bits.TrailingZeros(uint(d))
+	}
+	if capLog > bits.TrailingZeros(MaxDRAMBytes) {
+		return fmt.Errorf("config: DRAM capacity of 2^%d bytes exceeds %d GB", capLog, MaxDRAMBytes>>30)
+	}
+	if span := c.CoreSpan(); span < workload.MinFootprintBytes {
+		return fmt.Errorf("config: %d B of DRAM per core is below the %d B workload minimum", span, workload.MinFootprintBytes)
+	}
+	if c.MigrationLatencyNS > MaxMigrationNS {
+		return fmt.Errorf("config: migration_latency_ns must be at most %d", MaxMigrationNS)
+	}
+	if c.MigRetries > MaxMigRetries {
+		return fmt.Errorf("config: fault_mig_retries must be at most %d", MaxMigRetries)
+	}
+	if c.TagCacheKB <= 0 || c.TagCacheKB > MaxTagCacheKB {
+		return fmt.Errorf("config: tag cache size must be in 1..%d KB, got %d", MaxTagCacheKB, c.TagCacheKB)
+	}
+	if c.FilterCounters > MaxFilterCounters {
+		return fmt.Errorf("config: filter_counters must be at most %d", MaxFilterCounters)
+	}
+	mgr, err := c.ManagerConfig(core.DAS)
+	if err != nil {
+		return err
+	}
+	if err := mgr.Validate(); err != nil {
+		return err
+	}
+	// The layout applies whatever the design: one config feeds every
+	// design of a sweep, and the dynamic ones build it.
+	if err := core.ValidateLayout(*g, c.GroupSize, c.FastDenom); err != nil {
 		return err
 	}
 	fc := c.FaultConfig()
-	if err := fc.Validate(); err != nil {
-		return err
+	return fc.Validate()
+}
+
+// CacheLevel selects one level of the cache hierarchy.
+type CacheLevel int
+
+// The cache levels, nearest the core first. L1 and L2 are private to
+// each core; the LLC is shared.
+const (
+	L1 CacheLevel = iota
+	L2
+	LLC
+)
+
+func (l CacheLevel) String() string { return [...]string{"L1", "L2", "LLC"}[l] }
+
+// level returns one cache level's configured size, associativity,
+// latency in CPU cycles and MSHR count.
+func (c *Config) level(l CacheLevel) (kb, assoc, latency, mshrs int) {
+	switch l {
+	case L1:
+		return c.L1KB, c.L1Assoc, c.L1Latency, c.L1MSHRs
+	case L2:
+		return c.L2KB, c.L2Assoc, c.L2Latency, c.L2MSHRs
 	}
-	if c.MigRetries < 0 {
-		return fmt.Errorf("config: fault_mig_retries must be non-negative")
+	return c.LLCKB, c.LLCAssoc, c.LLCLatency, c.LLCMSHRs
+}
+
+// CPUConfig returns the core pipeline configuration.
+func (c *Config) CPUConfig() cpu.Config {
+	return cpu.Config{
+		ClockHz: c.CPUGHz * 1e9, Width: c.Width,
+		ROB: c.ROB, StoreBuffer: c.StoreBuffer,
 	}
-	if err := c.Geometry().Validate(); err != nil {
-		return err
+}
+
+// CacheConfig returns one cache level's configuration, named after the
+// level; Build suffixes the private levels' names with their core.
+// Latencies convert from CPU cycles, so cpu_ghz must be valid.
+func (c *Config) CacheConfig(l CacheLevel) cache.Config {
+	kb, assoc, lat, mshrs := c.level(l)
+	return cache.Config{
+		Name: l.String(), SizeBytes: kb << 10, Assoc: assoc,
+		BlockSize: c.BlockSize, Latency: sim.Time(lat) * c.CPUPeriod(),
+		MSHRs: mshrs,
 	}
-	return nil
+}
+
+// CPUPeriod returns the core clock period.
+func (c *Config) CPUPeriod() sim.Time {
+	return sim.NewClockHz(c.CPUGHz * 1e9).Period()
+}
+
+// MCConfig returns the memory controller configuration.
+func (c *Config) MCConfig() mc.Config {
+	return mc.Config{
+		WindowSize: c.WindowSize, WriteHigh: c.WriteHigh, WriteLow: c.WriteLow,
+		StarvationLimit: sim.FromNS(c.StarvationLimitNS),
+		ClosedPage:      c.ClosedPage,
+	}
 }
 
 // FaultConfig returns the fault-injection configuration. A zero
@@ -172,6 +319,16 @@ func (c *Config) FaultConfig() fault.Config {
 		TagCorruptRate:   c.TagCorruptRate,
 		TableCorruptRate: c.TableCorruptRate,
 	}
+}
+
+// CoreSpan returns the row-aligned address span owned by each core:
+// usable memory (capacity minus the translation-table reserve) divided
+// evenly among cores.
+func (c *Config) CoreSpan() uint64 {
+	geom := c.Geometry()
+	usable := geom.Capacity() - core.TableReserveBytes(geom)
+	span := usable / uint64(c.Cores)
+	return span / geom.RowBytes() * geom.RowBytes()
 }
 
 // Geometry returns the DRAM organization.

@@ -42,19 +42,28 @@ type Layout struct {
 // NewLayout validates and builds a layout. fastDenom is the fast-level
 // capacity ratio denominator (8 means 1/8 of rows are fast).
 func NewLayout(geom dram.Geometry, groupSize, fastDenom int) (*Layout, error) {
-	if groupSize <= 0 || groupSize > 256 {
-		return nil, fmt.Errorf("core: group size must be in 1..256 (one-byte table entries), got %d", groupSize)
-	}
-	if fastDenom <= 1 {
-		return nil, fmt.Errorf("core: fast denominator must exceed 1, got %d", fastDenom)
-	}
-	if groupSize%fastDenom != 0 {
-		return nil, fmt.Errorf("core: group size %d not divisible by fast denominator %d", groupSize, fastDenom)
-	}
-	if geom.Rows%groupSize != 0 {
-		return nil, fmt.Errorf("core: rows per bank %d not divisible by group size %d", geom.Rows, groupSize)
+	if err := ValidateLayout(geom, groupSize, fastDenom); err != nil {
+		return nil, err
 	}
 	return &Layout{geom: geom, groupSize: groupSize, fastSlots: groupSize / fastDenom}, nil
+}
+
+// ValidateLayout reports whether NewLayout accepts these parameters,
+// without building anything.
+func ValidateLayout(geom dram.Geometry, groupSize, fastDenom int) error {
+	if groupSize <= 0 || groupSize > 256 {
+		return fmt.Errorf("core: group size must be in 1..256 (one-byte table entries), got %d", groupSize)
+	}
+	if fastDenom <= 1 {
+		return fmt.Errorf("core: fast denominator must exceed 1, got %d", fastDenom)
+	}
+	if groupSize%fastDenom != 0 {
+		return fmt.Errorf("core: group size %d not divisible by fast denominator %d", groupSize, fastDenom)
+	}
+	if geom.Rows%groupSize != 0 {
+		return fmt.Errorf("core: rows per bank %d not divisible by group size %d", geom.Rows, groupSize)
+	}
+	return nil
 }
 
 // GroupSize returns logical rows per group.

@@ -34,27 +34,37 @@ type tagLine struct {
 // NewTagCache builds a cache of capacityBytes with the given
 // associativity over per-row entries.
 func NewTagCache(capacityBytes, assoc int) (*TagCache, error) {
+	nsets, ways, err := tagCacheShape(capacityBytes, assoc)
+	if err != nil {
+		return nil, err
+	}
+	tc := &TagCache{sets: make([][]tagLine, nsets), setMask: uint64(nsets - 1)}
+	for i := range tc.sets {
+		tc.sets[i] = make([]tagLine, ways)
+	}
+	return tc, nil
+}
+
+// tagCacheShape returns the set count and ways NewTagCache builds for
+// capacityBytes and assoc, or why it cannot build one.
+func tagCacheShape(capacityBytes, assoc int) (nsets, ways int, err error) {
 	if capacityBytes <= 0 || assoc <= 0 {
-		return nil, fmt.Errorf("core: tag cache capacity and associativity must be positive")
+		return 0, 0, fmt.Errorf("core: tag cache capacity and associativity must be positive")
 	}
 	entries := capacityBytes / tagEntryBytes
 	if entries < assoc {
 		assoc = entries
 	}
 	if entries == 0 || entries%assoc != 0 {
-		return nil, fmt.Errorf("core: tag cache of %d B cannot form %d-way sets", capacityBytes, assoc)
+		return 0, 0, fmt.Errorf("core: tag cache of %d B cannot form %d-way sets", capacityBytes, assoc)
 	}
-	nsets := entries / assoc
+	nsets = entries / assoc
 	// Round the set count down to a power of two so the index is a mask
 	// (hardware does the same; a little capacity is lost to rounding).
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1
 	}
-	tc := &TagCache{sets: make([][]tagLine, nsets), setMask: uint64(nsets - 1)}
-	for i := range tc.sets {
-		tc.sets[i] = make([]tagLine, assoc)
-	}
-	return tc, nil
+	return nsets, assoc, nil
 }
 
 // Entries returns the modeled entry capacity.

@@ -66,9 +66,11 @@ func (d *Device) SetCommandLog(fn func(t sim.Time, kind CommandKind, channel, ra
 	d.cmdLog = fn
 }
 
-// validate checks the parts of cfg shared by New and Reset (geometry is
-// validated by New and pinned by Reset).
-func (cfg *Config) validate() error {
+// Validate checks that New accepts cfg, without building anything.
+func (cfg *Config) Validate() error {
+	if err := cfg.Geometry.Validate(); err != nil {
+		return err
+	}
 	if err := cfg.Slow.Validate(); err != nil {
 		return fmt.Errorf("slow params: %w", err)
 	}
@@ -87,10 +89,7 @@ func (cfg *Config) validate() error {
 
 // New validates cfg and builds the device.
 func New(cfg Config) (*Device, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	emodel, err := energy.NewModel(area.Default(), int(cfg.Geometry.RowBytes()), cfg.Geometry.BlockSize)
@@ -135,7 +134,7 @@ func (d *Device) Reset(cfg Config) error {
 	if cfg.Geometry != d.geom {
 		return fmt.Errorf("dram: reset with geometry %+v on a device built as %+v", cfg.Geometry, d.geom)
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	d.slow, d.fast, d.migrationLatency = cfg.Slow, cfg.Fast, cfg.MigrationLatency

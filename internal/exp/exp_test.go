@@ -15,7 +15,7 @@ func TestMakeGeneratorScalesFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := CoreSpan(cfg)
+	span := cfg.CoreSpan()
 	var in workload.Instr
 	for i := 0; i < 100000; i++ {
 		gen.Next(&in)
@@ -44,7 +44,7 @@ func TestMakeGeneratorDesignIndependent(t *testing.T) {
 func TestCoreSpanRowAlignedAndDisjoint(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Cores = 4
-	span := CoreSpan(cfg)
+	span := cfg.CoreSpan()
 	geom := cfg.Geometry()
 	if span%geom.RowBytes() != 0 {
 		t.Fatal("span not row-aligned")

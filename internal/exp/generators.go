@@ -9,16 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// CoreSpan returns the row-aligned address span owned by each core:
-// usable memory (capacity minus the translation-table reserve) divided
-// evenly among cores.
-func CoreSpan(cfg config.Config) uint64 {
-	geom := cfg.Geometry()
-	usable := geom.Capacity() - core.TableReserveBytes(geom)
-	span := usable / uint64(cfg.Cores)
-	return span / geom.RowBytes() * geom.RowBytes()
-}
-
 // MakeGenerator builds the deterministic synthetic generator for core
 // idx running benchmark name under cfg. The construction is shared by
 // Build and the profiling pass so both see identical streams:
@@ -35,7 +25,7 @@ func MakeGenerator(cfg config.Config, name string, idx int) (workload.Generator,
 	if err != nil {
 		return nil, err
 	}
-	span := CoreSpan(cfg)
+	span := cfg.CoreSpan()
 	fp := uint64(float64(profl.FootprintBytes) * cfg.MemoryScale())
 	if min := uint64(2 << 20); fp < min {
 		fp = min

@@ -242,13 +242,3 @@ func (s *Session) WriteReqTraceCSV(w io.Writer) error {
 func (s *Session) WriteReqTraceJSON(w io.Writer) error {
 	return reqtrace.EncodeJSON(w, s.reqRecorders())
 }
-
-// PublishTo pushes every observed run's final snapshot into p (the
-// debug HTTP endpoint's store).
-func (s *Session) PublishTo(p *telemetry.Publisher) {
-	for _, o := range s.Observers() {
-		if o.Reg != nil {
-			p.Publish(o.Label, o.Reg.Snapshot(nil))
-		}
-	}
-}

@@ -146,3 +146,26 @@ func TestGracefulDegradationTableCorrupt(t *testing.T) {
 		t.Fatal("run made no progress")
 	}
 }
+
+// TestMaxCoresShortRun runs the largest accepted machine for a short
+// episode. Sixty-four cores share one controller, so their average time
+// per instruction is far above a single core's; the run ceiling must
+// scale with the core count instead of calling this a livelock.
+func TestMaxCoresShortRun(t *testing.T) {
+	cfg := config.Scaled()
+	cfg.Cores = config.MaxCores
+	cfg.InstrPerCore = 1000
+	set := make([]string, cfg.Cores)
+	for i := range set {
+		set[i] = "mcf"
+	}
+	for _, d := range []core.Design{core.Standard, core.DAS} {
+		sys, _, err := Build(cfg, d, set, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -76,12 +77,7 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	if err != nil {
 		return nil, nil, err
 	}
-	mcCfg := mc.Config{
-		WindowSize: cfg.WindowSize, WriteHigh: cfg.WriteHigh, WriteLow: cfg.WriteLow,
-		StarvationLimit: sim.FromNS(cfg.StarvationLimitNS),
-		ClosedPage:      cfg.ClosedPage,
-	}
-	ctl, err := mc.New(mcCfg, eng, dev, cfg.Cores)
+	ctl, err := mc.New(cfg.MCConfig(), eng, dev, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -110,12 +106,7 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	if profile {
 		prof = mgr.EnableProfiling()
 	}
-	cpuPeriod := sim.NewClockHz(cfg.CPUGHz * 1e9).Period()
-	llc, err := cache.New(cache.Config{
-		Name: "LLC", SizeBytes: cfg.LLCKB << 10, Assoc: cfg.LLCAssoc,
-		BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.LLCLatency) * cpuPeriod,
-		MSHRs: cfg.LLCMSHRs,
-	}, eng, mgr, cfg.Cores)
+	llc, err := cache.New(cfg.CacheConfig(config.LLC), eng, mgr, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,28 +120,20 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 		missSnap:  make([][2]uint64, cfg.Cores),
 		promSnap:  make([][2]uint64, cfg.Cores),
 	}
-	coreCfg := cpu.Config{
-		ClockHz: cfg.CPUGHz * 1e9, Width: cfg.Width,
-		ROB: cfg.ROB, StoreBuffer: cfg.StoreBuffer,
-	}
+	coreCfg := cfg.CPUConfig()
+	l1Cfg, l2Cfg := cfg.CacheConfig(config.L1), cfg.CacheConfig(config.L2)
 	for i, name := range benchmarks {
 		gen, err := MakeGenerator(cfg, name, i)
 		if err != nil {
 			return nil, nil, err
 		}
-		l2, err := cache.New(cache.Config{
-			Name: fmt.Sprintf("L2-%d", i), SizeBytes: cfg.L2KB << 10, Assoc: cfg.L2Assoc,
-			BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.L2Latency) * cpuPeriod,
-			MSHRs: cfg.L2MSHRs,
-		}, eng, llc, 0)
+		l2Cfg.Name = fmt.Sprintf("L2-%d", i)
+		l2, err := cache.New(l2Cfg, eng, llc, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		l1, err := cache.New(cache.Config{
-			Name: fmt.Sprintf("L1-%d", i), SizeBytes: cfg.L1KB << 10, Assoc: cfg.L1Assoc,
-			BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.L1Latency) * cpuPeriod,
-			MSHRs: cfg.L1MSHRs,
-		}, eng, l2, 0)
+		l1Cfg.Name = fmt.Sprintf("L1-%d", i)
+		l1, err := cache.New(l1Cfg, eng, l2, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -194,23 +177,14 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	if cfg.Cores != len(s.Cores) {
 		return nil, fmt.Errorf("exp: reset to %d cores on a %d-core system", cfg.Cores, len(s.Cores))
 	}
-	cpuPeriod := sim.NewClockHz(cfg.CPUGHz * 1e9).Period()
-	if got, want := s.LLC.Config(), (cache.Config{
-		Name: "LLC", SizeBytes: cfg.LLCKB << 10, Assoc: cfg.LLCAssoc,
-		BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.LLCLatency) * cpuPeriod,
-		MSHRs: cfg.LLCMSHRs,
-	}); got != want {
+	if got, want := s.LLC.Config(), cfg.CacheConfig(config.LLC); got != want {
 		return nil, fmt.Errorf("exp: reset cannot resize the cache hierarchy (LLC %+v -> %+v)", got, want)
 	}
 	s.Eng.Reset()
 	if err := s.Dev.Reset(cfg.DRAMConfig(design)); err != nil {
 		return nil, err
 	}
-	if err := s.Ctl.Reset(mc.Config{
-		WindowSize: cfg.WindowSize, WriteHigh: cfg.WriteHigh, WriteLow: cfg.WriteLow,
-		StarvationLimit: sim.FromNS(cfg.StarvationLimitNS),
-		ClosedPage:      cfg.ClosedPage,
-	}); err != nil {
+	if err := s.Ctl.Reset(cfg.MCConfig()); err != nil {
 		return nil, err
 	}
 	mgrCfg, err := cfg.ManagerConfig(design)
@@ -375,10 +349,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Hard ceiling: no sane run needs an average of 50 ns per
-	// instruction (IPC ~0.007); the watchdog below catches true stalls
-	// long before this.
-	limit := sim.Time(s.Cfg.InstrPerCore) * 50 * sim.Nanosecond
+	limit := runCeiling(&s.Cfg)
 	wd := s.watchdog()
 	steps := 0
 	for s.remaining > 0 {
@@ -399,6 +370,24 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	s.syncLive(s.Eng.Now())
 	s.obs.finish(int64(s.Eng.Now()))
 	return s.collect(), nil
+}
+
+// runCeiling is a hard limit on a run's simulated time, the backstop for
+// livelocks that still count as progress (a retry storm, say); the
+// watchdog catches true stalls long before it. No sane run averages more
+// per instruction than 50 ns (IPC ~0.007 at Table 1's latencies) plus one
+// instruction's worth of the configured latencies: a serialized walk of
+// the cache hierarchy and one migration with all its retries. Cores
+// share the controller, so the allowance scales with their count. The
+// product saturates instead of overflowing.
+func runCeiling(cfg *config.Config) sim.Time {
+	walk := cfg.CPUPeriod() * sim.Time(1+cfg.L1Latency+cfg.L2Latency+cfg.LLCLatency)
+	mig := sim.FromNS(cfg.MigrationLatencyNS) * sim.Time(1+cfg.MigRetries)
+	per := 50*sim.Nanosecond + walk + mig
+	if f := float64(cfg.InstrPerCore) * float64(cfg.Cores) * float64(per); f < math.MaxInt64 {
+		return sim.Time(f)
+	}
+	return math.MaxInt64
 }
 
 // observe is one host-driven observation: telemetry snapshot,

@@ -382,9 +382,13 @@ func TestJobTimeout(t *testing.T) {
 
 // TestBadRequests: every malformed request is a structured 400.
 func TestBadRequests(t *testing.T) {
+	var ran atomic.Int32
 	_, ts := newTestServer(t, Options{
 		Workers: 1,
-		Runner:  func(ctx context.Context, spec *Job) ([]byte, error) { return []byte("ok"), nil },
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			ran.Add(1)
+			return []byte("ok"), nil
+		},
 	})
 	for _, body := range []string{
 		`{]`,
@@ -394,6 +398,10 @@ func TestBadRequests(t *testing.T) {
 		`{"design": "das"}`,
 		`{"figure": "7a", "config": {"rows_per_bank": -4}}`,
 		`{"figure": "7a", "config": {"cpu_ghz": 0}}`,
+		// Rejected by the component validators, which once ran only
+		// inside Build, after the job was keyed and queued.
+		`{"figure": "7a", "config": {"group_size": 7}}`,
+		`{"design": "das", "benchmarks": ["mcf"], "config": {"rob": 0}}`,
 	} {
 		resp, data := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -403,6 +411,9 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Kind != KindBadRequest {
 			t.Fatalf("%s: body %s, want kind %q", body, data, KindBadRequest)
 		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d bad requests were admitted and run", n)
 	}
 	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -155,42 +153,4 @@ func TestTraceEncodeSchema(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("trace encoding not deterministic")
 	}
-}
-
-func TestPublisherEndpoint(t *testing.T) {
-	p := NewPublisher()
-	p.Publish("run-b", []Metric{{Name: "x", Value: 2}})
-	p.Publish("run-a", []Metric{{Name: "y", Value: 3}})
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var runs []struct {
-		Run     string             `json:"run"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&runs); err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || runs[0].Run != "run-a" || runs[0].Metrics["y"] != 3 {
-		t.Fatalf("metrics dump wrong: %+v", runs)
-	}
-
-	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s -> %d", path, resp.StatusCode)
-		}
-	}
-	// nil publisher publish is a safe no-op.
-	var np *Publisher
-	np.Publish("x", nil)
 }

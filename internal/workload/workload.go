@@ -105,6 +105,9 @@ type Profile struct {
 // exhibits.
 const scatterRowBytes = 8 << 10
 
+// MinFootprintBytes is the smallest footprint a profile may have.
+const MinFootprintBytes = 1 << 20
+
 // Validate checks the profile is well-formed.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
@@ -116,7 +119,7 @@ func (p *Profile) Validate() error {
 	if p.WriteFraction < 0 || p.WriteFraction > 1 {
 		return fmt.Errorf("workload %s: WriteFraction must be in [0,1]", p.Name)
 	}
-	if p.FootprintBytes < 1<<20 {
+	if p.FootprintBytes < MinFootprintBytes {
 		return fmt.Errorf("workload %s: footprint below 1 MiB", p.Name)
 	}
 	total := p.LocalWeight + p.StreamWeight + p.StrideWeight + p.HotWeight + p.ChaseWeight

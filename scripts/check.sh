@@ -15,8 +15,7 @@ go build ./...
 
 echo "== go test -race"
 # Full suite under the race detector; this is also the concurrency gate
-# for the telemetry publisher (concurrent Publish/snapshot/Shutdown),
-# the exp observer attach/flush paths, the machine pool's concurrent
+# for the exp observer attach/flush paths, the machine pool's concurrent
 # checkout cycle, and the dasserve core (internal/serve: singleflight,
 # shedding, drain, panic isolation). The explicit timeout is headroom
 # over go test's 10m default: the exp byte-identity suites near it

@@ -51,11 +51,7 @@ func run() error {
 	var (
 		figs     = flag.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
 		energyF  = flag.Bool("energy", false, "append the perf-per-watt figure (instructions/uJ, EDP vs Standard, pJ/instr decomposition) to the selected figures")
-		instr    = flag.Uint64("instr", 0, "instructions per core (0 = config default)")
-		cfgPath  = flag.String("config", "", "JSON config file (default: episode-scaled Table 1)")
-		fullScal = flag.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
 		outPath  = flag.String("out", "", "write output to file instead of stdout")
-		seed     = flag.Uint64("seed", 0, "override workload seed")
 		csvDir   = flag.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
 		benchSel = flag.String("benchmarks", "", "comma-separated benchmark subset for single-programmed figures")
 		mixSel   = flag.String("mixes", "", "comma-separated mix subset (M1..M8) for multi-programmed figures")
@@ -74,48 +70,11 @@ func run() error {
 		reqTraceN   = flag.Int("reqtrace", 0, "trace one in N measured demand loads per core through the hierarchy (0 = off; never changes figure output)")
 		reqTraceOut = flag.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file (.json = JSON, anything else = CSV)")
 		explainSel  = flag.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
-
-		// Fault injection (DAS management path; all rates zero = perfect
-		// device). The -fig faults sweep varies these itself.
-		faultWeak    = flag.Float64("fault-weak", 0, "fraction of fast-subarray rows that are weak (served at slow timing, never promoted into)")
-		faultMigFail = flag.Float64("fault-migfail", 0, "probability an in-flight migration fails and is retried")
-		faultTag     = flag.Float64("fault-tag", 0, "probability a tag-cache hit is parity-corrupt and re-fetched")
-		faultTable   = flag.Float64("fault-table", 0, "probability a fetched table block fails ECC and is re-fetched")
-		faultRetries = flag.Int("fault-retries", -1, "failed-migration retries before pinning the row slow (-1 = config default)")
-		faultSeed    = flag.Uint64("fault-seed", 0, "fault-stream seed (0 = derive from workload seed)")
-		invariants   = flag.Bool("invariants", true, "verify management invariants after every committed swap")
 	)
+	configFlags(flag.CommandLine)
 	flag.Parse()
-
-	cfg := config.Scaled()
-	if *fullScal {
-		cfg = config.Default()
-	}
-	if *cfgPath != "" {
-		c, err := config.Load(*cfgPath)
-		if err != nil {
-			return err
-		}
-		cfg = c
-	}
-	if *instr > 0 {
-		cfg.InstrPerCore = *instr
-	}
-	if *seed > 0 {
-		cfg.Seed = *seed
-	}
-	cfg.WeakRowRate = *faultWeak
-	cfg.MigFailRate = *faultMigFail
-	cfg.TagCorruptRate = *faultTag
-	cfg.TableCorruptRate = *faultTable
-	if *faultRetries >= 0 {
-		cfg.MigRetries = *faultRetries
-	}
-	if *faultSeed > 0 {
-		cfg.FaultSeed = *faultSeed
-	}
-	cfg.CheckInvariants = *invariants
-	if err := cfg.Validate(); err != nil {
+	cfg, err := configure(flag.CommandLine)
+	if err != nil {
 		return err
 	}
 
@@ -311,6 +270,74 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// configFlags registers the flags that build the run's config on fs.
+func configFlags(fs *flag.FlagSet) {
+	fs.String("config", "", "JSON config file (default: episode-scaled Table 1)")
+	fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
+	fs.Uint64("instr", 0, "instructions per core (0 = config default)")
+	fs.Uint64("seed", 0, "override workload seed")
+
+	// Fault injection (DAS management path; all rates zero = perfect
+	// device). The -fig faults sweep varies these itself.
+	fs.Float64("fault-weak", 0, "fraction of fast-subarray rows that are weak (served at slow timing, never promoted into)")
+	fs.Float64("fault-migfail", 0, "probability an in-flight migration fails and is retried")
+	fs.Float64("fault-tag", 0, "probability a tag-cache hit is parity-corrupt and re-fetched")
+	fs.Float64("fault-table", 0, "probability a fetched table block fails ECC and is re-fetched")
+	fs.Int("fault-retries", -1, "failed-migration retries before pinning the row slow (-1 = config default)")
+	fs.Uint64("fault-seed", 0, "fault-stream seed (0 = derive from workload seed)")
+	fs.Bool("invariants", true, "verify management invariants after every committed swap")
+}
+
+// configure builds the run's config from the parsed configFlags: the
+// -config file (or the episode-scaled / -full-scale Table 1 default),
+// then each config flag given on the command line. A flag left out
+// never overwrites a value the file set.
+func configure(fs *flag.FlagSet) (config.Config, error) {
+	get := func(f *flag.Flag) any { return f.Value.(flag.Getter).Get() }
+	cfg := config.Scaled()
+	if get(fs.Lookup("full-scale")).(bool) {
+		cfg = config.Default()
+	}
+	if path := get(fs.Lookup("config")).(string); path != "" {
+		c, err := config.Load(path)
+		if err != nil {
+			return cfg, err
+		}
+		cfg = c
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch v := get(f); f.Name {
+		case "instr":
+			if n := v.(uint64); n > 0 {
+				cfg.InstrPerCore = n
+			}
+		case "seed":
+			if n := v.(uint64); n > 0 {
+				cfg.Seed = n
+			}
+		case "fault-weak":
+			cfg.WeakRowRate = v.(float64)
+		case "fault-migfail":
+			cfg.MigFailRate = v.(float64)
+		case "fault-tag":
+			cfg.TagCorruptRate = v.(float64)
+		case "fault-table":
+			cfg.TableCorruptRate = v.(float64)
+		case "fault-retries":
+			if n := v.(int); n >= 0 {
+				cfg.MigRetries = n
+			}
+		case "fault-seed":
+			if n := v.(uint64); n > 0 {
+				cfg.FaultSeed = n
+			}
+		case "invariants":
+			cfg.CheckInvariants = v.(bool)
+		}
+	})
+	return cfg, cfg.Validate()
 }
 
 // flagVisited reports whether the named flag was set on the command line.

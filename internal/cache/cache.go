@@ -73,8 +73,9 @@ type mshr struct {
 // filled completes the fill this slot tracks.
 func (m *mshr) filled() { m.c.fill(m) }
 
-// Stats counts cache activity. Misses are demand misses (writeback and
-// coalesced accesses are tracked separately).
+// Stats counts cache activity since New or Reset; nothing zeroes it
+// mid-run. Misses are demand misses (writeback and coalesced accesses
+// are tracked separately).
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -84,8 +85,6 @@ type Stats struct {
 	WBForward  uint64 // writeback misses forwarded without allocation
 	// PerCoreMisses is indexed by Request.Core when non-negative.
 	PerCoreMisses []uint64
-	// MetaMisses counts translation-table (Meta) misses.
-	MetaMisses uint64
 }
 
 // Cache is one write-back, write-allocate cache level.
@@ -191,9 +190,6 @@ func (c *Cache) lookup(req *mem.Request) {
 	c.Stats.Misses++
 	if req.Core >= 0 && req.Core < len(c.Stats.PerCoreMisses) {
 		c.Stats.PerCoreMisses[req.Core]++
-	}
-	if req.Meta {
-		c.Stats.MetaMisses++
 	}
 	if m, ok := c.mshrs[block]; ok {
 		c.Stats.Coalesced++
@@ -395,7 +391,8 @@ func (c *Cache) Reset() {
 	clear(c.pending)
 	c.pending = c.pending[:0]
 	c.tel = nil
-	c.ResetStats()
+	clear(c.Stats.PerCoreMisses)
+	c.Stats = Stats{PerCoreMisses: c.Stats.PerCoreMisses}
 }
 
 // Contains reports whether block-aligned addr is resident (test helper and
@@ -413,15 +410,3 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // OutstandingMisses reports the number of live MSHRs (diagnostics).
 func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
-
-// ResetStats zeroes counters (warm-up boundary).
-func (c *Cache) ResetStats() {
-	perCore := c.Stats.PerCoreMisses
-	c.Stats = Stats{}
-	if perCore != nil {
-		for i := range perCore {
-			perCore[i] = 0
-		}
-		c.Stats.PerCoreMisses = perCore
-	}
-}

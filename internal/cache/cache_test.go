@@ -222,18 +222,6 @@ func TestLatencyCharged(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c, _, eng := newTestCache(t, 4, 2, 4)
-	access(c, eng, 0x1000, false, 0)
-	c.ResetStats()
-	if c.Stats.Misses != 0 || c.Stats.PerCoreMisses[0] != 0 {
-		t.Fatal("stats not reset")
-	}
-	if !c.Contains(0x1000) {
-		t.Fatal("reset flushed cache contents")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	be := &backend{eng: eng}

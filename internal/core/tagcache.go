@@ -165,11 +165,3 @@ func (tc *TagCache) Reset() {
 	tc.tick = 0
 	tc.Lookups, tc.Hits = 0, 0
 }
-
-// HitRatio reports the lookup hit ratio.
-func (tc *TagCache) HitRatio() float64 {
-	if tc.Lookups == 0 {
-		return 0
-	}
-	return float64(tc.Hits) / float64(tc.Lookups)
-}

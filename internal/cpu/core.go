@@ -57,8 +57,6 @@ type robEntry struct {
 // Stats are per-core measurement-window counters.
 type Stats struct {
 	Retired   uint64
-	MemOps    uint64
-	Loads     uint64
 	Stores    uint64
 	StartTime sim.Time // measurement window start
 	EndTime   sim.Time // when the quota was reached
@@ -306,7 +304,6 @@ func (c *Core) tick() {
 			continue
 		}
 		if c.measuring {
-			c.Stats.MemOps++
 			c.touchPage(in.Addr >> 12)
 		}
 		if in.Write {
@@ -322,9 +319,6 @@ func (c *Core) tick() {
 			s.req.Issued = c.eng.Now()
 			c.l1.Access(&s.req)
 			continue
-		}
-		if c.measuring {
-			c.Stats.Loads++
 		}
 		e.load = true
 		e.addr = in.Addr

@@ -90,9 +90,6 @@ func (ch *Channel) Activate(t sim.Time, rank, bank, row int, cls RowClass) {
 	r := ch.ranks[rank]
 	r.banks[bank].activate(t, row, cls, p)
 	r.recordAct(t, p.Duration(p.TRRD))
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteActivate(cls, p.Duration(p.TRCD))
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdActivate, ch.idx, rank, bank, row)
 	}
@@ -115,9 +112,6 @@ func (ch *Channel) Read(t sim.Time, rank, bank int) sim.Time {
 	row := b.openRow
 	end := b.read(t)
 	ch.claimBus(end, rank, busRead)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteRead(b.openCls, end-t)
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdRead, ch.idx, rank, bank, row)
 	}
@@ -144,9 +138,6 @@ func (ch *Channel) Write(t sim.Time, rank, bank int) sim.Time {
 	p := b.rowPar
 	r.noteWriteBurst(end, p.Duration(p.TWTR))
 	ch.claimBus(end, rank, busWrite)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteWrite(b.openCls, end-t)
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdWrite, ch.idx, rank, bank, row)
 	}
@@ -163,10 +154,6 @@ func (ch *Channel) Precharge(t sim.Time, rank, bank int) {
 	b := ch.ranks[rank].banks[bank]
 	row := b.openRow
 	b.precharge(t)
-	if tel := ch.dev.tel; tel != nil {
-		p := b.rowPar
-		tel.notePrecharge(b.openCls, p.Duration(p.TRP))
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdPrecharge, ch.idx, rank, bank, row)
 	}
@@ -186,9 +173,6 @@ func (ch *Channel) CanRefresh(t sim.Time, rank int) bool {
 func (ch *Channel) Refresh(t sim.Time, rank int) {
 	p := &ch.dev.slow
 	ch.ranks[rank].refresh(t, p.Duration(p.TRFC), p.Duration(p.TREFI))
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteRefresh(p.Duration(p.TRFC))
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdRefresh, ch.idx, rank, -1, -1)
 	}
@@ -206,9 +190,6 @@ func (ch *Channel) CanMigrate(t sim.Time, rank, bank, srcRow int) bool {
 func (ch *Channel) Migrate(t sim.Time, rank, bank int) sim.Time {
 	b := ch.ranks[rank].banks[bank]
 	b.migrate(t, ch.dev.migrationLatency)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteMigrate(ch.dev.migrationLatency)
-	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdMigrate, ch.idx, rank, bank, -1)
 	}

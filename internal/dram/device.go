@@ -47,10 +47,6 @@ type Device struct {
 	// always present, so figure code can cost a run without telemetry.
 	emodel *energy.Model
 
-	// tel is the live instrument set (nil = telemetry off, the default;
-	// see AttachTelemetry).
-	tel *deviceTelemetry
-
 	// cmdLog, when non-nil, observes every command at issue time (nil =
 	// off, the default; see SetCommandLog). Rank/bank/row are -1 where a
 	// command has no such coordinate (REF covers a whole rank, MIG's row
@@ -126,10 +122,10 @@ func (d *Device) initRefreshStagger() {
 // reuse, adopting cfg's timing sets and migration latency (sweeps vary
 // them without changing the machine shape). The geometry is pinned: a
 // reset never resizes the channel/rank/bank arrays, so cfg.Geometry
-// must equal the built one. Telemetry and the command log detach — they
-// are per-run attachments. After Reset the device is indistinguishable
-// from dram.New(cfg), including the initial refresh stagger; the energy
-// model is retained (it is a pure function of the geometry).
+// must equal the built one. The command log detaches — it is a per-run
+// attachment. After Reset the device is indistinguishable from
+// dram.New(cfg), including the initial refresh stagger; the energy model
+// is retained (it is a pure function of the geometry).
 func (d *Device) Reset(cfg Config) error {
 	if cfg.Geometry != d.geom {
 		return fmt.Errorf("dram: reset with geometry %+v on a device built as %+v", cfg.Geometry, d.geom)
@@ -138,7 +134,6 @@ func (d *Device) Reset(cfg Config) error {
 		return err
 	}
 	d.slow, d.fast, d.migrationLatency = cfg.Slow, cfg.Fast, cfg.MigrationLatency
-	d.tel = nil
 	d.cmdLog = nil
 	for _, ch := range d.channels {
 		ch.busBusyUntil, ch.busRank, ch.busDirection = 0, -1, busNone
@@ -182,15 +177,28 @@ func (d *Device) EnergyModel() *energy.Model { return d.emodel }
 // ClockPeriod returns the DRAM command-clock period.
 func (d *Device) ClockPeriod() sim.Time { return d.slow.TCK }
 
-// Stats aggregates command counts across the whole device. The *Fast
-// fields count the subset of each command that touched a fast-subarray
-// row (the energy model prices the classes differently).
+// Stats aggregates command counts across the whole device since New or
+// Reset; nothing zeroes them mid-run, so a measurement window is the
+// difference of two CollectStats snapshots. The *Fast fields count the
+// subset of each command that touched a fast-subarray row (the energy
+// model prices the classes differently).
 type Stats struct {
 	Activates, ActivatesFast   uint64
 	Reads, ReadsFast           uint64
 	Writes, WritesFast         uint64
 	Precharges, PrechargesFast uint64
 	Refreshes, Migrations      uint64
+}
+
+// Sub returns the counts accumulated since the earlier snapshot o.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Activates: s.Activates - o.Activates, ActivatesFast: s.ActivatesFast - o.ActivatesFast,
+		Reads: s.Reads - o.Reads, ReadsFast: s.ReadsFast - o.ReadsFast,
+		Writes: s.Writes - o.Writes, WritesFast: s.WritesFast - o.WritesFast,
+		Precharges: s.Precharges - o.Precharges, PrechargesFast: s.PrechargesFast - o.PrechargesFast,
+		Refreshes: s.Refreshes - o.Refreshes, Migrations: s.Migrations - o.Migrations,
+	}
 }
 
 // EnergyCounts converts the command counts into the energy model's
@@ -202,21 +210,6 @@ func (s Stats) EnergyCounts() energy.Counts {
 		RdSlow: s.Reads - s.ReadsFast, RdFast: s.ReadsFast,
 		WrSlow: s.Writes - s.WritesFast, WrFast: s.WritesFast,
 		Ref: s.Refreshes, Mig: s.Migrations,
-	}
-}
-
-// ResetStats zeroes all command counters (warm-up boundary); timing state
-// is untouched.
-func (d *Device) ResetStats() {
-	for _, ch := range d.channels {
-		for _, r := range ch.ranks {
-			r.Refreshes = 0
-			for _, b := range r.banks {
-				b.Activates, b.ActivatesFast, b.Reads, b.ReadsFast = 0, 0, 0, 0
-				b.Writes, b.WritesFast, b.Precharges, b.PrechargesFast = 0, 0, 0, 0
-				b.Migrations = 0
-			}
-		}
 	}
 }
 

@@ -292,18 +292,3 @@ func TestDeviceConfigValidation(t *testing.T) {
 		t.Fatal("bad geometry accepted")
 	}
 }
-
-func TestStatsResetPreservesTiming(t *testing.T) {
-	d := testDevice(t, 0)
-	ch := d.Channel(0)
-	ch.Activate(0, 0, 0, 1, RowSlow)
-	d.ResetStats()
-	s := d.CollectStats()
-	if s.Activates != 0 {
-		t.Fatal("stats not reset")
-	}
-	// Timing state must survive the reset: bank still active.
-	if !ch.Rank(0).Bank(0).HasOpenRow() {
-		t.Fatal("reset disturbed bank state")
-	}
-}

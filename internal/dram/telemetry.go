@@ -2,114 +2,68 @@ package dram
 
 import (
 	"repro/internal/energy"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/timing"
 )
 
-// deviceTelemetry is the device's live instrument set: per-command
-// counts, per-command-class timing occupancy (how much bank time, in
-// picoseconds, each command class consumed), and per-command energy in
-// integer picojoules (priced by the device's energy model, split by
-// subarray class where the command touches one). All fields are
-// nil-receiver-safe instruments, but the device keeps the whole struct
-// behind a nil pointer so the uninstrumented hot path pays exactly one
-// branch per command.
-type deviceTelemetry struct {
-	act, actFast, rd, wr, pre, ref, mig          *telemetry.Counter
-	occACT, occRD, occWR, occPRE, occREF, occMIG *telemetry.Counter
-
-	// Energy counters, indexed by RowClass where per-class. em is the
-	// device's pricing table (never nil while tel is attached).
-	em                   *energy.Model
-	eAct, ePre, eRd, eWr [2]*telemetry.Counter
-	eRef, eMig           *telemetry.Counter
-}
-
-// AttachTelemetry registers the device's command counters, occupancy
-// sums and energy counters on reg. Call once at assembly time, before
-// traffic; a nil registry leaves the device uninstrumented (the
-// default).
+// AttachTelemetry exposes the device's command counts, per-command-class
+// bank occupancy (picoseconds of bank time each class consumed) and
+// per-command energy (integer picojoules, split by subarray class where
+// the command touches one) on reg. All of them are snapshot-time samples
+// of the always-on bank counters (CollectStats): occupancy is each
+// class's count times its fixed command duration, energy each count
+// times the energy model's price, so the command path records nothing
+// extra. Call once at assembly time; a nil registry leaves the device
+// uninstrumented (the default).
 func (d *Device) AttachTelemetry(reg *telemetry.Registry) {
 	if !reg.Enabled() {
 		return
 	}
-	d.tel = &deviceTelemetry{
-		act:     reg.Counter("dram.cmd.act"),
-		actFast: reg.Counter("dram.cmd.act_fast"),
-		rd:      reg.Counter("dram.cmd.rd"),
-		wr:      reg.Counter("dram.cmd.wr"),
-		pre:     reg.Counter("dram.cmd.pre"),
-		ref:     reg.Counter("dram.cmd.ref"),
-		mig:     reg.Counter("dram.cmd.mig"),
-		occACT:  reg.Counter("dram.occupancy_ps.act"),
-		occRD:   reg.Counter("dram.occupancy_ps.rd"),
-		occWR:   reg.Counter("dram.occupancy_ps.wr"),
-		occPRE:  reg.Counter("dram.occupancy_ps.pre"),
-		occREF:  reg.Counter("dram.occupancy_ps.ref"),
-		occMIG:  reg.Counter("dram.occupancy_ps.mig"),
-		em:      d.emodel,
-		eAct: [2]*telemetry.Counter{
-			RowSlow: reg.Counter("dram.energy_pj.act_slow"),
-			RowFast: reg.Counter("dram.energy_pj.act_fast"),
-		},
-		ePre: [2]*telemetry.Counter{
-			RowSlow: reg.Counter("dram.energy_pj.pre_slow"),
-			RowFast: reg.Counter("dram.energy_pj.pre_fast"),
-		},
-		eRd: [2]*telemetry.Counter{
-			RowSlow: reg.Counter("dram.energy_pj.rd_slow"),
-			RowFast: reg.Counter("dram.energy_pj.rd_fast"),
-		},
-		eWr: [2]*telemetry.Counter{
-			RowSlow: reg.Counter("dram.energy_pj.wr_slow"),
-			RowFast: reg.Counter("dram.energy_pj.wr_fast"),
-		},
-		eRef: reg.Counter("dram.energy_pj.ref"),
-		eMig: reg.Counter("dram.energy_pj.mig"),
+	sample := func(name string, fn func(Stats) int64) {
+		reg.Sample(name, func() int64 { return fn(d.CollectStats()) })
 	}
-}
+	sample("dram.cmd.act", func(s Stats) int64 { return int64(s.Activates) })
+	sample("dram.cmd.act_fast", func(s Stats) int64 { return int64(s.ActivatesFast) })
+	sample("dram.cmd.rd", func(s Stats) int64 { return int64(s.Reads) })
+	sample("dram.cmd.wr", func(s Stats) int64 { return int64(s.Writes) })
+	sample("dram.cmd.pre", func(s Stats) int64 { return int64(s.Precharges) })
+	sample("dram.cmd.ref", func(s Stats) int64 { return int64(s.Refreshes) })
+	sample("dram.cmd.mig", func(s Stats) int64 { return int64(s.Migrations) })
 
-// noteActivate records an ACT of class cls whose row-open takes tRCD.
-func (t *deviceTelemetry) noteActivate(cls RowClass, trcd sim.Time) {
-	t.act.Inc()
-	if cls == RowFast {
-		t.actFast.Inc()
+	trcd := func(p *timing.Params) int64 { return p.TRCD }
+	trp := func(p *timing.Params) int64 { return p.TRP }
+	sample("dram.occupancy_ps.act", func(s Stats) int64 { return d.occupancy(s.Activates, s.ActivatesFast, trcd) })
+	sample("dram.occupancy_ps.rd", func(s Stats) int64 { return d.occupancy(s.Reads, s.ReadsFast, (*timing.Params).ReadLatency) })
+	sample("dram.occupancy_ps.wr", func(s Stats) int64 { return d.occupancy(s.Writes, s.WritesFast, (*timing.Params).WriteLatency) })
+	sample("dram.occupancy_ps.pre", func(s Stats) int64 { return d.occupancy(s.Precharges, s.PrechargesFast, trp) })
+	sample("dram.occupancy_ps.ref", func(s Stats) int64 { return int64(s.Refreshes) * int64(d.slow.Duration(d.slow.TRFC)) })
+	sample("dram.occupancy_ps.mig", func(s Stats) int64 { return int64(s.Migrations) * int64(d.migrationLatency) })
+
+	price := func(name string, pj func(energy.Breakdown) int64) {
+		sample(name, func(s Stats) int64 { return pj(d.DynamicEnergy(s)) })
 	}
-	t.occACT.Add(uint64(trcd))
-	t.eAct[cls].Add(uint64(t.em.ActPJ[cls]))
+	price("dram.energy_pj.act_slow", func(b energy.Breakdown) int64 { return b.ActSlowPJ })
+	price("dram.energy_pj.act_fast", func(b energy.Breakdown) int64 { return b.ActFastPJ })
+	price("dram.energy_pj.pre_slow", func(b energy.Breakdown) int64 { return b.PreSlowPJ })
+	price("dram.energy_pj.pre_fast", func(b energy.Breakdown) int64 { return b.PreFastPJ })
+	price("dram.energy_pj.rd_slow", func(b energy.Breakdown) int64 { return b.RdSlowPJ })
+	price("dram.energy_pj.rd_fast", func(b energy.Breakdown) int64 { return b.RdFastPJ })
+	price("dram.energy_pj.wr_slow", func(b energy.Breakdown) int64 { return b.WrSlowPJ })
+	price("dram.energy_pj.wr_fast", func(b energy.Breakdown) int64 { return b.WrFastPJ })
+	price("dram.energy_pj.ref", func(b energy.Breakdown) int64 { return b.RefPJ })
+	price("dram.energy_pj.mig", func(b energy.Breakdown) int64 { return b.MigPJ })
 }
 
-// noteRead records a RD burst of dur on a row of class cls.
-func (t *deviceTelemetry) noteRead(cls RowClass, dur sim.Time) {
-	t.rd.Inc()
-	t.occRD.Add(uint64(dur))
-	t.eRd[cls].Add(uint64(t.em.RdPJ[cls]))
+// occupancy is the bank time, in picoseconds, that n commands of one
+// kind hold, nFast of them on fast rows, when the command lasts cycles
+// clocks of its row class's timing set.
+func (d *Device) occupancy(n, nFast uint64, cycles func(*timing.Params) int64) int64 {
+	return int64(n-nFast)*int64(d.slow.Duration(cycles(&d.slow))) +
+		int64(nFast)*int64(d.fast.Duration(cycles(&d.fast)))
 }
 
-// noteWrite records a WR burst of dur on a row of class cls.
-func (t *deviceTelemetry) noteWrite(cls RowClass, dur sim.Time) {
-	t.wr.Inc()
-	t.occWR.Add(uint64(dur))
-	t.eWr[cls].Add(uint64(t.em.WrPJ[cls]))
-}
-
-// notePrecharge records a PRE of a row of class cls taking tRP.
-func (t *deviceTelemetry) notePrecharge(cls RowClass, trp sim.Time) {
-	t.pre.Inc()
-	t.occPRE.Add(uint64(trp))
-	t.ePre[cls].Add(uint64(t.em.PrePJ[cls]))
-}
-
-// noteRefresh records a REF occupying the rank for tRFC.
-func (t *deviceTelemetry) noteRefresh(trfc sim.Time) {
-	t.ref.Inc()
-	t.occREF.Add(uint64(trfc))
-	t.eRef.Add(uint64(t.em.RefPJ))
-}
-
-// noteMigrate records a migration swap occupying its bank for dur.
-func (t *deviceTelemetry) noteMigrate(dur sim.Time) {
-	t.mig.Inc()
-	t.occMIG.Add(uint64(dur))
-	t.eMig.Add(uint64(t.em.MigPJ))
+// DynamicEnergy prices command counts s (per-command, per-class) with
+// the device's energy model; the background term is left at zero.
+func (d *Device) DynamicEnergy(s Stats) energy.Breakdown {
+	return d.emodel.Breakdown(s.EnergyCounts(), 0, 0)
 }

@@ -50,12 +50,6 @@ type Observer struct {
 	Req      *reqtrace.Recorder
 
 	nextSnapPS int64
-	// snapPS is the simulated time the latest snapshot was taken at, set
-	// before polling the registry. Rate-derived samples (background
-	// energy) read it instead of the engine clock, so a snapshot taken
-	// after the run — when a pooled machine may already have been reset
-	// for the next one — still reports the run's final value.
-	snapPS int64
 }
 
 // newObserver builds the per-run bundle for the session's options. seed
@@ -91,7 +85,6 @@ func (o *Observer) maybeSnap(nowPS int64) {
 	if o == nil || o.Timeline == nil || nowPS < o.nextSnapPS {
 		return
 	}
-	o.snapPS = nowPS
 	o.Timeline.Snap(nowPS, o.Reg)
 	interval := o.Timeline.IntervalPS
 	o.nextSnapPS = (nowPS/interval + 1) * interval
@@ -99,11 +92,7 @@ func (o *Observer) maybeSnap(nowPS int64) {
 
 // finish takes the end-of-run snapshot.
 func (o *Observer) finish(nowPS int64) {
-	if o == nil {
-		return
-	}
-	o.snapPS = nowPS
-	if o.Timeline == nil {
+	if o == nil || o.Timeline == nil {
 		return
 	}
 	o.Timeline.Snap(nowPS, o.Reg)
@@ -121,13 +110,13 @@ func (s *System) AttachObserver(obs *Observer) {
 	s.Ctl.AttachTelemetry(reg, obs.Trace)
 	if reg.Enabled() {
 		// Background/standby energy is a rate (mW x elapsed ns = pJ), not
-		// an event count, so it is derived from the snapshot's timestamp
-		// (see Observer.snapPS) rather than accumulated per command.
+		// an event count, so it is derived from the simulated clock at
+		// snapshot time rather than accumulated per command.
 		g := s.Dev.Geometry()
 		ranks := g.Channels * g.Ranks
 		em := s.Dev.EnergyModel()
 		reg.Sample("dram.energy_pj.background", func() int64 {
-			return em.BackgroundPJ(ranks, obs.snapPS/int64(sim.Nanosecond))
+			return em.BackgroundPJ(ranks, int64(s.Eng.Now()/sim.Nanosecond))
 		})
 	}
 	s.Mgr.AttachTelemetry(reg, obs.Trace)
@@ -146,14 +135,10 @@ func (s *System) AttachObserver(obs *Observer) {
 	}
 	if obs.Req != nil {
 		if obs.Trace != nil {
-			// Core request tracks are numbered after the controller's bank,
-			// rank-refresh and cumulative-energy tracks (see mc's
-			// bankTID/rankTID/energyTID).
-			g := s.Dev.Geometry()
-			base := g.Channels*g.Ranks*g.Banks + g.Channels*g.Ranks + 1
-			obs.Req.AttachTrace(obs.Trace, base)
+			tracks := s.Ctl.Tracks()
+			obs.Req.AttachTrace(obs.Trace, tracks.CoreReq(0))
 			for i := range s.Cores {
-				obs.Trace.DefineTrack(base+i, fmt.Sprintf("core%d req", i))
+				obs.Trace.DefineTrack(tracks.CoreReq(i), fmt.Sprintf("core%d req", i))
 			}
 		}
 		for _, c := range s.Cores {

@@ -64,7 +64,7 @@ func TestTelemetrySinksDeterministic(t *testing.T) {
 // the Chrome trace-event schema: top-level traceEvents array, every
 // event carrying name/ph/pid/tid, complete events a non-negative
 // ts+dur, instant events a scope, flow events an id, counter events an
-// args.value, and metadata naming each process.
+// args.value, and metadata naming each process and each track once.
 func TestTraceExportIsValidTraceEventJSON(t *testing.T) {
 	_, _, trace := observedFig7a(t, 1)
 	var doc struct {
@@ -91,14 +91,22 @@ func TestTraceExportIsValidTraceEventJSON(t *testing.T) {
 		t.Fatal("no trace events emitted")
 	}
 	var processes, complete, instant, flows, counters int
+	trackNames := map[[2]int]any{}
 	for i, e := range doc.TraceEvents {
 		if e.Name == nil || e.Ph == nil || e.Pid == nil || e.Tid == nil {
 			t.Fatalf("event %d missing required field: %+v", i, e)
 		}
 		switch *e.Ph {
 		case "M":
-			if *e.Name == "process_name" {
+			switch *e.Name {
+			case "process_name":
 				processes++
+			case "thread_name":
+				key := [2]int{*e.Pid, *e.Tid}
+				if prev, dup := trackNames[key]; dup {
+					t.Fatalf("pid %d tid %d named twice: %v and %v", key[0], key[1], prev, e.Args["name"])
+				}
+				trackNames[key] = e.Args["name"]
 			}
 		case "X":
 			complete++

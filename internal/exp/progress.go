@@ -78,7 +78,7 @@ func (s *Session) InstrHorizon(name string) uint64 {
 	switch name {
 	case "table1", "table2", "area":
 		return 0
-	case "7a":
+	case "7a", "energy":
 		return nSingle * 6 * quota // baseline + 5 comparison designs
 	case "7b":
 		return nSingle * 1 * quota // DAS only

@@ -54,6 +54,7 @@ func TestInstrHorizonEstimates(t *testing.T) {
 		"7b":     2 * 1 * q,
 		"7d":     1 * 6 * 4 * q,
 		"power":  2 * 5 * q,
+		"energy": 2 * 6 * q,
 	}
 	for name, want := range cases {
 		if got := s.InstrHorizon(name); got != want {

@@ -51,6 +51,9 @@ type System struct {
 	// Per-core counter snapshots: [core][0]=at warm-up, [1]=at quota.
 	missSnap [][2]uint64
 	promSnap [][2]uint64
+	// warm is the shared counters at the moment the last core finished
+	// warm-up: the shared measurement window's start.
+	warm counters
 
 	// pool, when non-nil, owns this machine's memory lifecycle: RunContext
 	// leaves the engine attached (instead of releasing its storage to
@@ -233,6 +236,7 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 		s.missSnap[i] = [2]uint64{}
 		s.promSnap[i] = [2]uint64{}
 	}
+	s.warm = counters{}
 	return prof, nil
 }
 
@@ -245,43 +249,48 @@ func (s *System) free() {
 	s.Eng.Release()
 }
 
-// onWarmup snapshots per-core counters and, once every core has crossed
-// its warm-up boundary, resets the shared statistics.
-func (s *System) onWarmup(id int) {
-	s.missSnap[id][0] = s.LLC.Stats.PerCoreMisses[id]
-	s.promSnap[id][0] = perCorePromotion(s.Mgr, id)
-	s.warmupsTo--
-	if s.warmupsTo == 0 {
-		// Shared-counter measurement window starts when the last core is
-		// warm; per-core windows subtract their own snapshots.
-		base := make([]uint64, len(s.Cores))
-		for i := range base {
-			base[i] = s.LLC.Stats.PerCoreMisses[i]
-		}
-		s.LLC.ResetStats()
-		copy(s.LLC.Stats.PerCoreMisses, base) // keep per-core continuity
-		s.Ctl.ResetStats()
-		s.Dev.ResetStats()
-		promBase := make([]uint64, len(s.Cores))
-		for i := range promBase {
-			promBase[i] = perCorePromotion(s.Mgr, i)
-		}
-		s.Mgr.ResetStats()
-		copy(s.Mgr.Stats.PerCorePromotions, promBase)
-	}
+// counters is the part of the components' whole-run counters that
+// Result reports over the shared measurement window.
+type counters struct {
+	ctl                                     mc.Stats
+	dev                                     dram.Stats
+	promotions, tableFetches, filterRejects uint64
+	tagLookups, tagHits                     uint64
 }
 
-func perCorePromotion(m *core.Manager, id int) uint64 {
-	if m.Stats.PerCorePromotions == nil {
-		return 0
+// counters reads the shared counters now.
+func (s *System) counters() counters {
+	c := counters{
+		ctl:          s.Ctl.Stats,
+		dev:          s.Dev.CollectStats(),
+		promotions:   s.Mgr.Stats.Promotions,
+		tableFetches: s.Mgr.Stats.TableFetches,
 	}
-	return m.Stats.PerCorePromotions[id]
+	if tc := s.Mgr.TagCache(); tc != nil {
+		c.tagLookups, c.tagHits = tc.Lookups, tc.Hits
+	}
+	if f := s.Mgr.Filter(); f != nil {
+		c.filterRejects = f.Rejects
+	}
+	return c
+}
+
+// onWarmup snapshots per-core counters and, once every core has crossed
+// its warm-up boundary, the shared ones. Components never reset their
+// counters mid-run: every window is a difference of two snapshots.
+func (s *System) onWarmup(id int) {
+	s.missSnap[id][0] = s.LLC.Stats.PerCoreMisses[id]
+	s.promSnap[id][0] = s.Mgr.Stats.PerCorePromotions[id]
+	s.warmupsTo--
+	if s.warmupsTo == 0 {
+		s.warm = s.counters()
+	}
 }
 
 // onQuota snapshots a core's end-of-window counters.
 func (s *System) onQuota(id int) {
 	s.missSnap[id][1] = s.LLC.Stats.PerCoreMisses[id]
-	s.promSnap[id][1] = perCorePromotion(s.Mgr, id)
+	s.promSnap[id][1] = s.Mgr.Stats.PerCorePromotions[id]
 	s.remaining--
 }
 
@@ -301,8 +310,8 @@ func (s *System) watchdog() *sim.Watchdog {
 		return n
 	}
 	progress := func() uint64 {
-		cs := &s.Ctl.Stats
-		p := cs.Reads + cs.Writes + cs.MetaReads + cs.MetaWrites + cs.Migrations
+		d := s.Dev.CollectStats() // every column command and swap issued
+		p := d.Reads + d.Writes + d.Migrations
 		for _, c := range s.Cores {
 			p += c.RetiredTotal()
 		}
@@ -437,14 +446,12 @@ type Result struct {
 	Access   stats.Dist // demand access locations (Fig 7c/7f/8b)
 	DevStats dram.Stats
 
-	Promotions       uint64
-	PromPerAccess    float64 // promotions / demand accesses (Fig 8c)
-	TagHitRatio      float64
-	TableFetches     uint64
-	FilterRejects    uint64
-	AvgReadLatencyNS float64
-	ReadLatHist      [6]uint64 // <50, <100, <200, <500, <1000, >=1000 ns
-	EnergyProxy      float64   // relative DRAM access-energy estimate (§7.7)
+	Promotions    uint64
+	PromPerAccess float64 // promotions / demand accesses (Fig 8c)
+	TagHitRatio   float64
+	TableFetches  uint64
+	FilterRejects uint64
+	EnergyProxy   float64 // relative DRAM access-energy estimate (§7.7)
 	// Energy is the exact integer-picojoule decomposition of the
 	// measurement window's DRAM energy, priced by internal/energy from the
 	// device's per-class command counts plus background power over the
@@ -486,22 +493,25 @@ func (s *System) collect() *Result {
 		}
 		r.PerCore = append(r.PerCore, cr)
 	}
-	cs := s.Ctl.Stats
-	r.Access = stats.Dist{RowBuffer: cs.ServedRowBuffer, Fast: cs.ServedFast, Slow: cs.ServedSlow}
-	r.DevStats = s.Dev.CollectStats()
-	r.Promotions = s.Mgr.Stats.Promotions
-	if total := cs.Reads + cs.Writes; total > 0 {
+	// Shared counters cover the window from the last core's warm-up to
+	// now (the last core's quota).
+	end, w := s.counters(), &s.warm
+	ce, cw := &end.ctl, &w.ctl
+	r.Access = stats.Dist{
+		RowBuffer: ce.ServedRowBuffer - cw.ServedRowBuffer,
+		Fast:      ce.ServedFast - cw.ServedFast,
+		Slow:      ce.ServedSlow - cw.ServedSlow,
+	}
+	r.DevStats = end.dev.Sub(w.dev)
+	r.Promotions = end.promotions - w.promotions
+	if total := r.Access.Total(); total > 0 {
 		r.PromPerAccess = float64(r.Promotions) / float64(total)
-		r.AvgReadLatencyNS = cs.ReadLatencySum.NS() / float64(cs.Reads)
-		r.ReadLatHist = cs.ReadLatHist
 	}
-	if tc := s.Mgr.TagCache(); tc != nil {
-		r.TagHitRatio = tc.HitRatio()
+	if lookups := end.tagLookups - w.tagLookups; lookups > 0 {
+		r.TagHitRatio = float64(end.tagHits-w.tagHits) / float64(lookups)
 	}
-	r.TableFetches = s.Mgr.Stats.TableFetches
-	if f := s.Mgr.Filter(); f != nil {
-		r.FilterRejects = f.Rejects
-	}
+	r.TableFetches = end.tableFetches - w.tableFetches
+	r.FilterRejects = end.filterRejects - w.filterRejects
 	r.EnergyProxy = energyProxy(r.DevStats)
 	for _, c := range s.Cores {
 		r.InstrsTotal += c.Stats.Retired

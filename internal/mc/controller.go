@@ -48,7 +48,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Stats counts controller activity (demand traffic unless noted).
+// Stats counts controller activity (demand traffic unless noted) since
+// New or Reset; nothing zeroes it mid-run.
 type Stats struct {
 	Reads, Writes   uint64
 	ServedRowBuffer uint64
@@ -56,15 +57,6 @@ type Stats struct {
 	ServedSlow      uint64
 	MetaReads       uint64
 	MetaWrites      uint64
-	Migrations      uint64
-	ReadLatencySum  sim.Time // enqueue -> data burst end, demand reads
-	// ReadLatHist buckets demand-read latencies (ns): <50, <100, <200,
-	// <500, <1000, >=1000.
-	ReadLatHist [6]uint64
-	MigWaitSum  sim.Time // migration enqueue -> issue
-	// PerCore breaks down demand accesses by service kind, indexed by
-	// core then ServiceKind.
-	PerCore [][3]uint64
 }
 
 // Controller is the multi-channel memory controller.
@@ -73,6 +65,7 @@ type Controller struct {
 	eng   *sim.Engine
 	dev   *dram.Device
 	chans []*chanCtl
+	cores int
 
 	// tel is the live instrument set (nil = telemetry off, the default;
 	// see AttachTelemetry).
@@ -85,15 +78,13 @@ type Controller struct {
 	Stats Stats
 }
 
-// New builds a controller for dev with cores per-core stat slots.
+// New builds a controller for dev shared by the given number of cores
+// (the count sizes the trace track layout; see Tracks).
 func New(cfg Config, eng *sim.Engine, dev *dram.Device, cores int) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, eng: eng, dev: dev}
-	if cores > 0 {
-		c.Stats.PerCore = make([][3]uint64, cores)
-	}
+	c := &Controller{cfg: cfg, eng: eng, dev: dev, cores: cores}
 	clock := sim.NewClock(dev.ClockPeriod())
 	c.initCtlSched(eng, clock)
 	for i := 0; i < dev.Channels(); i++ {
@@ -130,12 +121,7 @@ func (c *Controller) Reset(cfg Config) error {
 	}
 	c.cfg = cfg
 	c.tel = nil
-	perCore := c.Stats.PerCore
 	c.Stats = Stats{}
-	for i := range perCore {
-		perCore[i] = [3]uint64{}
-	}
-	c.Stats.PerCore = perCore
 	clock := sim.NewClock(c.dev.ClockPeriod())
 	c.initCtlSched(c.eng, clock)
 	for _, cc := range c.chans {
@@ -259,18 +245,6 @@ func (c *Controller) PendingMigrations() int {
 		n += len(cc.migQ)
 	}
 	return n
-}
-
-// ResetStats zeroes the counters (warm-up boundary).
-func (c *Controller) ResetStats() {
-	perCore := c.Stats.PerCore
-	c.Stats = Stats{}
-	if perCore != nil {
-		for i := range perCore {
-			perCore[i] = [3]uint64{}
-		}
-		c.Stats.PerCore = perCore
-	}
 }
 
 // chanCtl schedules one channel.
@@ -490,8 +464,6 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			if len(cc.traced) > 0 {
 				cc.creditBlocked(op.rank, op.bank, end-t, false)
 			}
-			cc.ctl.Stats.Migrations++
-			cc.ctl.Stats.MigWaitSum += t - op.enqueued
 			if tel := cc.ctl.tel; tel != nil {
 				tel.noteMIG(t, end, cc.idx, op.rank, op.bank, op.row)
 			}
@@ -745,25 +717,6 @@ func (cc *chanCtl) issueRowCommandFrom(t sim.Time, q []*Request) bool {
 
 // completeRead schedules the request's Done at the data burst end.
 func (cc *chanCtl) completeRead(req *Request, end sim.Time) {
-	if !req.Meta {
-		lat := end - req.enqueued
-		cc.ctl.Stats.ReadLatencySum += lat
-		ns := lat.NS()
-		switch {
-		case ns < 50:
-			cc.ctl.Stats.ReadLatHist[0]++
-		case ns < 100:
-			cc.ctl.Stats.ReadLatHist[1]++
-		case ns < 200:
-			cc.ctl.Stats.ReadLatHist[2]++
-		case ns < 500:
-			cc.ctl.Stats.ReadLatHist[3]++
-		case ns < 1000:
-			cc.ctl.Stats.ReadLatHist[4]++
-		default:
-			cc.ctl.Stats.ReadLatHist[5]++
-		}
-	}
 	if req.Done != nil {
 		req.doneKind = cc.serviceKind(req)
 		cc.ctl.eng.ScheduleCallAt(end, fireDone, req, nil)
@@ -801,20 +754,13 @@ func (cc *chanCtl) account(req *Request, isWrite bool) {
 	} else {
 		s.Reads++
 	}
-	kind := cc.serviceKind(req)
-	switch kind {
+	switch cc.serviceKind(req) {
 	case ServiceRowBuffer:
 		s.ServedRowBuffer++
-		if tel := cc.ctl.tel; tel != nil {
-			tel.rowHits.Inc()
-		}
 	case ServiceFast:
 		s.ServedFast++
 	case ServiceSlow:
 		s.ServedSlow++
-	}
-	if req.Core >= 0 && req.Core < len(s.PerCore) {
-		s.PerCore[req.Core][kind]++
 	}
 }
 

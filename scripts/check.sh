@@ -66,7 +66,18 @@ go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 \
     -metrics-out "$tmp_sink" -timeline "$tmp_sink.trace" >"$tmp_obs" 2>/dev/null
 cmp "$tmp_quad" "$tmp_obs"
 test -s "$tmp_sink" && test -s "$tmp_sink.trace"
-rm -f "$tmp_sink.trace"
+# Every sink must also be byte-identical between pooled and fresh-build
+# (-nopool) machines. Components keep whole-run counters that nothing
+# zeroes mid-run, so this pins that System.Reset rewinds all of them.
+for pool in "" -nopool; do
+    go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 $pool -reqtrace 7 \
+        -metrics-out "$tmp_sink$pool.csv" -timeline "$tmp_sink$pool.trace" \
+        -reqtrace-out "$tmp_sink$pool.req" >/dev/null 2>&1
+done
+for sink in csv trace req; do
+    cmp "$tmp_sink.$sink" "$tmp_sink-nopool.$sink"
+    rm -f "$tmp_sink.$sink" "$tmp_sink-nopool.$sink"
+done
 
 echo "== request-trace determinism: sampled tracing renders identical figures"
 # Same figure again with the per-request flight recorder sampling 1-in-7

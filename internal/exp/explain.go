@@ -2,10 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/reqtrace"
 )
 
@@ -45,13 +48,13 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 		key := resultKey(s.cfgFor(set), d, set)
 		for _, o := range s.Observers() {
 			if o.Label == key && o.Req != nil {
-				if v := o.Req.Violations(); v > 0 {
+				if l := o.Req.Latency(); l.Violations() > 0 {
 					return nil, fmt.Errorf("exp: %s: %d attribution invariant violation(s); first: %s",
-						key, v, o.Req.FirstViolation())
+						key, l.Violations(), l.FirstViolation())
 				}
-				if v := o.Req.EnergyViolations(); v > 0 {
+				if l := o.Req.Energy(); l.Violations() > 0 {
 					return nil, fmt.Errorf("exp: %s: %d energy attribution violation(s); first: %s",
-						key, v, o.Req.FirstEnergyViolation())
+						key, l.Violations(), l.FirstViolation())
 				}
 				return o.Req, nil
 			}
@@ -67,76 +70,44 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 		Title:  "End-to-end request latency quantiles (ns)",
 		Header: []string{"workload", "design", "p50", "p95", "p99"},
 	}
-	// Energy carries only on DRAM-command components; the attribution is
-	// causal (blocking REF/MIG commands charge each sampled request they
-	// blocked in full), verified per request by the ledger invariant.
 	ewaterfall := &stats.Table{
 		Title:  fmt.Sprintf("Mean per-request energy attribution (pJ): %v vs %v", a, b),
 		Header: []string{"workload", "design", "total", "conflict", "service", "refresh", "migration"},
 	}
-	energyComps := []reqtrace.Component{
-		reqtrace.CompConflict, reqtrace.CompService, reqtrace.CompRefresh, reqtrace.CompMigration,
-	}
-	var aggA, aggB reqtrace.Aggregate
-	meanRow := func(name string, d core.Design, r *reqtrace.Recorder) {
-		row := []string{name, fmt.Sprintf("%v", d),
-			fmt.Sprintf("%d", r.Requests()), fmt.Sprintf("%.1f", r.TotalMeanNS())}
-		for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-			row = append(row, fmt.Sprintf("%.1f", r.ComponentMeanNS(c)))
-		}
-		waterfall.AddRow(row...)
-	}
-	deltaRow := func(name string, ra, rb *reqtrace.Recorder) {
-		row := []string{name, "Δ", "",
-			fmt.Sprintf("%+.1f", rb.TotalMeanNS()-ra.TotalMeanNS())}
-		for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-			row = append(row, fmt.Sprintf("%+.1f", rb.ComponentMeanNS(c)-ra.ComponentMeanNS(c)))
-		}
-		waterfall.AddRow(row...)
-	}
-	energyRow := func(name string, d core.Design, r *reqtrace.Recorder) {
-		row := []string{name, fmt.Sprintf("%v", d), fmt.Sprintf("%.1f", r.EnergyMeanPJ())}
-		for _, c := range energyComps {
-			row = append(row, fmt.Sprintf("%.1f", r.ComponentEnergyMeanPJ(c)))
-		}
-		ewaterfall.AddRow(row...)
-	}
-	energyDeltaRow := func(name string, ra, rb *reqtrace.Recorder) {
-		row := []string{name, "Δ", fmt.Sprintf("%+.1f", rb.EnergyMeanPJ()-ra.EnergyMeanPJ())}
-		for _, c := range energyComps {
-			row = append(row, fmt.Sprintf("%+.1f", rb.ComponentEnergyMeanPJ(c)-ra.ComponentEnergyMeanPJ(c)))
-		}
-		ewaterfall.AddRow(row...)
-	}
+	designs := [2]core.Design{a, b}
+	var lat, en [2]telemetry.Ledger // per design, merged over workloads
 	for i, set := range sets {
-		ra, err := recorder(a, set)
-		if err != nil {
-			return nil, err
+		var rs [2]*reqtrace.Recorder
+		for j, d := range designs {
+			r, err := recorder(d, set)
+			if err != nil {
+				return nil, err
+			}
+			rs[j] = r
+			l := r.Latency()
+			waterfall.AddRow(append([]string{names[i], fmt.Sprintf("%v", d), fmt.Sprintf("%d", l.Count())},
+				latencyAxis.cells(l, nil)...)...)
+			ewaterfall.AddRow(append([]string{names[i], fmt.Sprintf("%v", d)}, energyAxis.cells(r.Energy(), nil)...)...)
+			quantiles.AddRow(names[i], fmt.Sprintf("%v", d),
+				fmt.Sprintf("%d", l.Quantile(0.50)), fmt.Sprintf("%d", l.Quantile(0.95)), fmt.Sprintf("%d", l.Quantile(0.99)))
+			lat[j].Merge(l)
+			en[j].Merge(r.Energy())
 		}
-		rb, err := recorder(b, set)
-		if err != nil {
-			return nil, err
-		}
-		meanRow(names[i], a, ra)
-		meanRow(names[i], b, rb)
-		deltaRow(names[i], ra, rb)
-		energyRow(names[i], a, ra)
-		energyRow(names[i], b, rb)
-		energyDeltaRow(names[i], ra, rb)
-		ra.AddTo(&aggA)
-		rb.AddTo(&aggB)
-		quantiles.AddRow(names[i], fmt.Sprintf("%v", a),
-			fmt.Sprintf("%d", ra.TotalQuantileNS(0.50)), fmt.Sprintf("%d", ra.TotalQuantileNS(0.95)), fmt.Sprintf("%d", ra.TotalQuantileNS(0.99)))
-		quantiles.AddRow(names[i], fmt.Sprintf("%v", b),
-			fmt.Sprintf("%d", rb.TotalQuantileNS(0.50)), fmt.Sprintf("%d", rb.TotalQuantileNS(0.95)), fmt.Sprintf("%d", rb.TotalQuantileNS(0.99)))
+		waterfall.AddRow(append([]string{names[i], "Δ", ""}, latencyAxis.cells(rs[1].Latency(), rs[0].Latency())...)...)
+		ewaterfall.AddRow(append([]string{names[i], "Δ"}, energyAxis.cells(rs[1].Energy(), rs[0].Energy())...)...)
 	}
 	waterfall.Caption = fmt.Sprintf(
 		"Sampled 1-in-%d demand loads per core; components sum exactly to total (verified per request).",
 		s.Observe.ReqTraceN)
 	ewaterfall.Caption = "Integer-picojoule ledger per sampled request; component energies sum exactly to the request total (verified per request)."
 
-	drivers, headline := rankDrivers(a, b, &aggA, &aggB)
-	edrivers := rankEnergyDrivers(a, b, &aggA, &aggB, energyComps)
+	drivers, top, totalA, totalB := latencyAxis.drivers(a, b, &lat[0], &lat[1])
+	headline := fmt.Sprintf("%v mean request latency %.1f ns vs %v %.1f ns (%+.1f%%); largest driver: %s (%+.1f ns/req)",
+		b, totalB, a, totalA, relPct(totalB-totalA, totalA), top.comp, top.meanB-top.meanA)
+	drivers.Caption = headline + "."
+	edrivers, _, etotalA, etotalB := energyAxis.drivers(a, b, &en[0], &en[1])
+	edrivers.Caption = fmt.Sprintf("%v mean attributed energy %.1f pJ/req vs %v %.1f pJ/req (%+.1f%%).",
+		b, etotalB, a, etotalA, relPct(etotalB-etotalA, etotalA))
 	fig := &Figure{
 		ID:    "Explain",
 		Title: fmt.Sprintf("Why %v ≠ %v: per-request latency attribution", a, b),
@@ -148,109 +119,109 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	return fig, nil
 }
 
-// rankDrivers builds the ranked component-diff table over the aggregated
-// attribution vectors and a one-line headline for the figure title.
-func rankDrivers(a, b core.Design, aggA, aggB *reqtrace.Aggregate) (*stats.Table, string) {
-	type driver struct {
-		comp         reqtrace.Component
-		meanA, meanB float64
-	}
-	ds := make([]driver, 0, reqtrace.NumComponents)
-	for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-		ds = append(ds, driver{comp: c, meanA: aggA.ComponentMeanNS(c), meanB: aggB.ComponentMeanNS(c)})
-	}
-	abs := func(f float64) float64 {
-		if f < 0 {
-			return -f
-		}
-		return f
-	}
-	sort.SliceStable(ds, func(i, j int) bool {
-		di, dj := abs(ds[i].meanB-ds[i].meanA), abs(ds[j].meanB-ds[j].meanA)
-		if di != dj {
-			return di > dj
-		}
-		return ds[i].comp < ds[j].comp
-	})
-
-	totalA, totalB := aggA.TotalMeanNS(), aggB.TotalMeanNS()
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("Ranked drivers of the %v−%v difference (all workloads)", b, a),
-		Header: []string{"rank", "component", fmt.Sprintf("%v ns/req", a), fmt.Sprintf("%v ns/req", b), "Δ ns/req", "Δ% of total", fmt.Sprintf("%v share", a), fmt.Sprintf("%v share", b)},
-	}
-	share := func(mean, total float64) string {
-		if total <= 0 {
-			return "0.0%"
-		}
-		return fmt.Sprintf("%.1f%%", 100*mean/total)
-	}
-	for i, d := range ds {
-		delta := d.meanB - d.meanA
-		pct := 0.0
-		if totalA > 0 {
-			pct = 100 * delta / totalA
-		}
-		tbl.AddRow(fmt.Sprintf("%d", i+1), d.comp.String(),
-			fmt.Sprintf("%.1f", d.meanA), fmt.Sprintf("%.1f", d.meanB),
-			fmt.Sprintf("%+.1f", delta), fmt.Sprintf("%+.2f%%", pct),
-			share(d.meanA, totalA), share(d.meanB, totalB))
-	}
-	relTotal := 0.0
-	if totalA > 0 {
-		relTotal = 100 * (totalB - totalA) / totalA
-	}
-	top := ds[0]
-	headline := fmt.Sprintf("%v mean request latency %.1f ns vs %v %.1f ns (%+.1f%%); largest driver: %s (%+.1f ns/req)",
-		b, totalB, a, totalA, relTotal, top.comp, top.meanB-top.meanA)
-	tbl.Caption = headline + "."
-	return tbl, headline
+// axis is one attribution axis of the explain report: the components
+// that carry it and the unit its means are reported in.
+type axis struct {
+	comps  []reqtrace.Component
+	scale  float64 // ledger units per reported unit
+	unit   string
+	title  string // driver-table title noun
+	shares bool   // driver table also shows each component's share of its design's total
 }
 
-// rankEnergyDrivers mirrors rankDrivers over the attributed-energy axis:
-// which DRAM-command components drive the per-request energy difference
-// between the two designs.
-func rankEnergyDrivers(a, b core.Design, aggA, aggB *reqtrace.Aggregate, comps []reqtrace.Component) *stats.Table {
-	type driver struct {
-		comp         reqtrace.Component
-		meanA, meanB float64
+var (
+	latencyAxis = axis{
+		comps: []reqtrace.Component{reqtrace.CompCache, reqtrace.CompXlat, reqtrace.CompQueue, reqtrace.CompRefresh,
+			reqtrace.CompMigration, reqtrace.CompConflict, reqtrace.CompService, reqtrace.CompFill},
+		scale: float64(sim.Nanosecond), unit: "ns", title: "drivers", shares: true,
 	}
-	ds := make([]driver, 0, len(comps))
-	for _, c := range comps {
-		ds = append(ds, driver{comp: c, meanA: aggA.ComponentEnergyMeanPJ(c), meanB: aggB.ComponentEnergyMeanPJ(c)})
+	// Energy carries only on DRAM-command components; the attribution is
+	// causal (blocking REF/MIG commands charge each sampled request they
+	// blocked in full), verified per request by the ledger invariant.
+	energyAxis = axis{
+		comps: []reqtrace.Component{reqtrace.CompConflict, reqtrace.CompService, reqtrace.CompRefresh, reqtrace.CompMigration},
+		scale: 1, unit: "pJ", title: "energy drivers",
 	}
-	abs := func(f float64) float64 {
-		if f < 0 {
-			return -f
+)
+
+// means returns l's mean total followed by the mean of each of the
+// axis components, per request in the axis unit.
+func (ax axis) means(l *telemetry.Ledger) []float64 {
+	vs := []float64{l.Mean() / ax.scale}
+	for _, c := range ax.comps {
+		vs = append(vs, l.ComponentMean(int(c))/ax.scale)
+	}
+	return vs
+}
+
+// cells formats means(l) as table cells; with base non-nil, each cell is
+// the signed difference means(l) − means(base).
+func (ax axis) cells(l, base *telemetry.Ledger) []string {
+	vs, format := ax.means(l), "%.1f"
+	if base != nil {
+		format = "%+.1f"
+		for i, v := range ax.means(base) {
+			vs[i] -= v
 		}
-		return f
+	}
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
+// driver is one component's mean per request under designs a and b.
+type driver struct {
+	comp         reqtrace.Component
+	meanA, meanB float64
+}
+
+// drivers builds the ranked component-difference table over the merged
+// ledgers of designs a and b: components ordered by the absolute change
+// of their mean per request, largest first. It also returns the top
+// driver and both designs' mean totals for the caller's caption.
+func (ax axis) drivers(a, b core.Design, la, lb *telemetry.Ledger) (*stats.Table, driver, float64, float64) {
+	ma, mb := ax.means(la), ax.means(lb)
+	ds := make([]driver, 0, len(ax.comps))
+	for i, c := range ax.comps {
+		ds = append(ds, driver{comp: c, meanA: ma[i+1], meanB: mb[i+1]})
 	}
 	sort.SliceStable(ds, func(i, j int) bool {
-		di, dj := abs(ds[i].meanB-ds[i].meanA), abs(ds[j].meanB-ds[j].meanA)
+		di, dj := math.Abs(ds[i].meanB-ds[i].meanA), math.Abs(ds[j].meanB-ds[j].meanA)
 		if di != dj {
 			return di > dj
 		}
 		return ds[i].comp < ds[j].comp
 	})
-	totalA, totalB := aggA.EnergyMeanPJ(), aggB.EnergyMeanPJ()
+
+	totalA, totalB := ma[0], mb[0]
+	perReq := ax.unit + "/req"
 	tbl := &stats.Table{
-		Title:  fmt.Sprintf("Ranked energy drivers of the %v−%v difference (all workloads)", b, a),
-		Header: []string{"rank", "component", fmt.Sprintf("%v pJ/req", a), fmt.Sprintf("%v pJ/req", b), "Δ pJ/req", "Δ% of total"},
+		Title:  fmt.Sprintf("Ranked %s of the %v−%v difference (all workloads)", ax.title, b, a),
+		Header: []string{"rank", "component", fmt.Sprintf("%v %s", a, perReq), fmt.Sprintf("%v %s", b, perReq), "Δ " + perReq, "Δ% of total"},
+	}
+	if ax.shares {
+		tbl.Header = append(tbl.Header, fmt.Sprintf("%v share", a), fmt.Sprintf("%v share", b))
 	}
 	for i, d := range ds {
 		delta := d.meanB - d.meanA
-		pct := 0.0
-		if totalA > 0 {
-			pct = 100 * delta / totalA
-		}
-		tbl.AddRow(fmt.Sprintf("%d", i+1), d.comp.String(),
+		row := []string{fmt.Sprintf("%d", i+1), d.comp.String(),
 			fmt.Sprintf("%.1f", d.meanA), fmt.Sprintf("%.1f", d.meanB),
-			fmt.Sprintf("%+.1f", delta), fmt.Sprintf("%+.2f%%", pct))
+			fmt.Sprintf("%+.1f", delta), fmt.Sprintf("%+.2f%%", relPct(delta, totalA))}
+		if ax.shares {
+			row = append(row, fmt.Sprintf("%.1f%%", relPct(d.meanA, totalA)), fmt.Sprintf("%.1f%%", relPct(d.meanB, totalB)))
+		}
+		tbl.AddRow(row...)
 	}
-	relTotal := 0.0
-	if totalA > 0 {
-		relTotal = 100 * (totalB - totalA) / totalA
+	return tbl, ds[0], totalA, totalB
+}
+
+// relPct returns delta as a percentage of base (0 when base is not
+// positive).
+func relPct(delta, base float64) float64 {
+	if base <= 0 {
+		return 0
 	}
-	tbl.Caption = fmt.Sprintf("%v mean attributed energy %.1f pJ/req vs %v %.1f pJ/req (%+.1f%%).",
-		b, totalB, a, totalA, relTotal)
-	return tbl
+	return 100 * delta / base
 }

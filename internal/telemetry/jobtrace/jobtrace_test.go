@@ -81,6 +81,27 @@ func TestUnsetStampsCollapse(t *testing.T) {
 	}
 }
 
+// TestViolationsCountSpans: a span whose clock steps back twice fails
+// the invariant twice over but is still one failed span.
+func TestViolationsCountSpans(t *testing.T) {
+	ticks := []int64{0, 10, 8, 6, 7, 8, 9} // SetClock's epoch read, then recv..done
+	r := NewRecorder(8)
+	r.SetClock(func() time.Time {
+		now := time.Unix(1_000_000, ticks[0])
+		ticks = ticks[1:]
+		return now
+	})
+	sp := r.Begin()
+	sp.StampCanon("k", "figure:7a")
+	sp.StampAdmit()
+	sp.StampStart()
+	sp.StampRun()
+	sp.Finish("done", 1)
+	if v := r.Violations(); v != 1 {
+		t.Fatalf("violations = %d, want 1 (one span with two negative phases)", v)
+	}
+}
+
 func TestLiveLookupAndStates(t *testing.T) {
 	r := NewRecorder(8)
 	r.SetClock(newFakeClock(time.Millisecond).Now)

@@ -7,88 +7,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/telemetry"
 )
 
-// Aggregate accumulates attribution across recorders (one explain run
-// merges every workload of a design into one vector). The zero value is
-// ready to use.
-type Aggregate struct {
-	Requests         uint64
-	Violations       uint64
-	EnergyViolations uint64
-	totalSumPS       int64
-	compSumPS        [NumComponents]int64
-	totalHist        telemetry.Histogram
-	energySumPJ      int64
-	energyCompSumPJ  [NumComponents]int64
-}
-
-// AddTo merges this recorder's aggregation into a.
-func (r *Recorder) AddTo(a *Aggregate) {
-	if r == nil || a == nil {
-		return
-	}
-	a.Requests += r.count
-	a.Violations += r.violations
-	a.EnergyViolations += r.energyViolations
-	a.totalSumPS += r.totalSumPS
-	a.energySumPJ += r.energySumPJ
-	for i := range r.compSumPS {
-		a.compSumPS[i] += r.compSumPS[i]
-		a.energyCompSumPJ[i] += r.energyCompSumPJ[i]
-	}
-	a.totalHist.Merge(&r.totalHist)
-}
-
-// TotalMeanNS returns the mean end-to-end latency in nanoseconds.
-func (a *Aggregate) TotalMeanNS() float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.totalSumPS) / float64(a.Requests) / psPerNS
-}
-
-// ComponentMeanNS returns component c's mean per request (ns).
-func (a *Aggregate) ComponentMeanNS(c Component) float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.compSumPS[c]) / float64(a.Requests) / psPerNS
-}
-
-// TotalQuantileNS returns the merged q-quantile of end-to-end latency
-// in nanoseconds.
-func (a *Aggregate) TotalQuantileNS(q float64) uint64 {
-	return a.totalHist.Quantile(q)
-}
-
-// EnergyMeanPJ returns the mean attributed energy per request (pJ).
-func (a *Aggregate) EnergyMeanPJ() float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.energySumPJ) / float64(a.Requests)
-}
-
-// ComponentEnergyMeanPJ returns component c's mean attributed energy
-// per request (pJ).
-func (a *Aggregate) ComponentEnergyMeanPJ(c Component) float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.energyCompSumPJ[c]) / float64(a.Requests)
-}
-
-// EnergySumPJ returns the merged attributed energy (exact integer pJ).
-func (a *Aggregate) EnergySumPJ() int64 { return a.energySumPJ }
-
-// ComponentEnergySumPJ returns component c's merged attributed energy
-// (exact integer pJ).
-func (a *Aggregate) ComponentEnergySumPJ(c Component) int64 {
-	return a.energyCompSumPJ[c]
-}
+// psPerNS converts the latency ledger's picoseconds to nanoseconds.
+const psPerNS = 1000
 
 // EncodeCSV writes every recorder's waterfall as long-form CSV:
 // one "total" row per run followed by one row per component, runs
@@ -103,22 +25,11 @@ func EncodeCSV(w io.Writer, recs []*Recorder) error {
 		return err
 	}
 	for _, r := range sortedLive(recs) {
-		totalSum := float64(r.totalSumPS) / psPerNS
-		fmt.Fprintf(bw, "%s,%d,%d,%d,total,%.3f,%.3f,100.00,%d,%d,%d,%d,%.1f\n",
-			csvField(r.label), r.count, r.violations, r.energyViolations,
-			totalSum, r.TotalMeanNS(),
-			r.totalHist.Quantile(0.50), r.totalHist.Quantile(0.95), r.totalHist.Quantile(0.99),
-			r.energySumPJ, r.EnergyMeanPJ())
-		for c := Component(0); c < NumComponents; c++ {
-			share := 0.0
-			if totalSum > 0 {
-				share = 100 * r.ComponentSumNS(c) / totalSum
-			}
-			fmt.Fprintf(bw, "%s,%d,%d,%d,%v,%.3f,%.3f,%.2f,%d,%d,%d,%d,%.1f\n",
-				csvField(r.label), r.count, r.violations, r.energyViolations, c,
-				r.ComponentSumNS(c), r.ComponentMeanNS(c), share,
-				r.compHist[c].Quantile(0.50), r.compHist[c].Quantile(0.95), r.compHist[c].Quantile(0.99),
-				r.energyCompSumPJ[c], r.ComponentEnergyMeanPJ(c))
+		doc := runRows(r)
+		for _, c := range append([]componentJSON{doc.Total}, doc.Components...) {
+			fmt.Fprintf(bw, "%s,%d,%d,%d,%s,%.3f,%.3f,%.2f,%d,%d,%d,%d,%.1f\n",
+				csvField(doc.Run), doc.Requests, doc.Violations, doc.EnergyViolations, c.Name,
+				c.SumNS, c.MeanNS, c.SharePct, c.P50NS, c.P95NS, c.P99NS, c.EnergyPJ, c.EnergyMeanPJ)
 		}
 	}
 	return bw.Flush()
@@ -147,33 +58,41 @@ type runJSON struct {
 	Components       []componentJSON `json:"components"`
 }
 
+// runRows builds one run's waterfall from its two ledgers: the total
+// row, then one row per component. Both sinks render these rows.
+func runRows(r *Recorder) runJSON {
+	lat, en := &r.latency, &r.energy
+	totalSum := float64(lat.Sum()) / psPerNS
+	doc := runJSON{
+		Run: r.label, Requests: lat.Count(), Violations: lat.Violations(),
+		EnergyViolations: en.Violations(),
+		Total: componentJSON{
+			Name: "total", SumNS: totalSum, MeanNS: lat.Mean() / psPerNS, SharePct: 100,
+			P50NS: lat.Quantile(0.50), P95NS: lat.Quantile(0.95), P99NS: lat.Quantile(0.99),
+			EnergyPJ: en.Sum(), EnergyMeanPJ: en.Mean(),
+		},
+	}
+	for c := 0; c < int(NumComponents); c++ {
+		sum := float64(lat.ComponentSum(c)) / psPerNS
+		share := 0.0
+		if totalSum > 0 {
+			share = 100 * sum / totalSum
+		}
+		doc.Components = append(doc.Components, componentJSON{
+			Name: Component(c).String(), SumNS: sum, MeanNS: lat.ComponentMean(c) / psPerNS, SharePct: share,
+			P50NS: lat.ComponentQuantile(c, 0.50), P95NS: lat.ComponentQuantile(c, 0.95), P99NS: lat.ComponentQuantile(c, 0.99),
+			EnergyPJ: en.ComponentSum(c), EnergyMeanPJ: en.ComponentMean(c),
+		})
+	}
+	return doc
+}
+
 // EncodeJSON writes every recorder's waterfall as one JSON array, runs
 // sorted by label.
 func EncodeJSON(w io.Writer, recs []*Recorder) error {
 	out := make([]runJSON, 0, len(recs))
 	for _, r := range sortedLive(recs) {
-		totalSum := float64(r.totalSumPS) / psPerNS
-		doc := runJSON{
-			Run: r.label, Requests: r.count, Violations: r.violations,
-			EnergyViolations: r.energyViolations,
-			Total: componentJSON{
-				Name: "total", SumNS: totalSum, MeanNS: r.TotalMeanNS(), SharePct: 100,
-				P50NS: r.totalHist.Quantile(0.50), P95NS: r.totalHist.Quantile(0.95), P99NS: r.totalHist.Quantile(0.99),
-				EnergyPJ: r.energySumPJ, EnergyMeanPJ: r.EnergyMeanPJ(),
-			},
-		}
-		for c := Component(0); c < NumComponents; c++ {
-			share := 0.0
-			if totalSum > 0 {
-				share = 100 * r.ComponentSumNS(c) / totalSum
-			}
-			doc.Components = append(doc.Components, componentJSON{
-				Name: c.String(), SumNS: r.ComponentSumNS(c), MeanNS: r.ComponentMeanNS(c), SharePct: share,
-				P50NS: r.compHist[c].Quantile(0.50), P95NS: r.compHist[c].Quantile(0.95), P99NS: r.compHist[c].Quantile(0.99),
-				EnergyPJ: r.energyCompSumPJ[c], EnergyMeanPJ: r.ComponentEnergyMeanPJ(c),
-			})
-		}
-		out = append(out, doc)
+		out = append(out, runRows(r))
 	}
 	enc, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -19,7 +19,8 @@
 //  3. Exact attribution. The component vector of a finished span sums
 //     to its end-to-end latency by construction (the decomposition
 //     telescopes over the stamped transitions); Finish verifies the sum
-//     and counts violations instead of silently misattributing.
+//     through a telemetry.Ledger, which counts violations instead of
+//     silently misattributing.
 //
 // Alongside latency, every stamp that corresponds to a DRAM command
 // carries that command's energy in integer picojoules (priced by
@@ -301,7 +302,7 @@ func (sp *Span) energyBreakdown() (comps [NumComponents]int64, total int64) {
 }
 
 // Recorder owns one run's spans: the pool, the sampling parameters, and
-// the per-component aggregation the waterfall reports render. Like a
+// the latency and energy ledgers the waterfall reports render. Like a
 // Registry it belongs to one single-threaded simulated system and needs
 // no locking.
 type Recorder struct {
@@ -315,21 +316,10 @@ type Recorder struct {
 
 	pool []*Span
 
-	count      uint64
-	totalSumPS int64
-	compSumPS  [NumComponents]int64
-	totalHist  telemetry.Histogram
-	compHist   [NumComponents]telemetry.Histogram
-	violations uint64
-	firstBad   string
-
-	// Energy aggregation (integer picojoules) over the same component
-	// axis, with its own violation counter for the ledger-vs-total check.
-	energySumPJ      int64
-	energyCompSumPJ  [NumComponents]int64
-	energyHist       telemetry.Histogram
-	energyViolations uint64
-	firstBadEnergy   string
+	// latency is in picoseconds with nanosecond histograms; energy is in
+	// integer picojoules over the same component axis.
+	latency telemetry.Ledger
+	energy  telemetry.Ledger
 }
 
 // NewRecorder builds a recorder tracing one in sampleN demand loads per
@@ -340,14 +330,33 @@ func NewRecorder(label string, sampleN int, seed uint64) *Recorder {
 	if sampleN < 1 {
 		sampleN = 1
 	}
-	return &Recorder{label: label, sampleN: uint64(sampleN), seed: seed}
+	return &Recorder{
+		label: label, sampleN: uint64(sampleN), seed: seed,
+		latency: telemetry.Ledger{Unit: "ps", Quantum: int64(sim.Nanosecond)},
+		energy:  telemetry.Ledger{Unit: "pJ"},
+	}
 }
-
-// Label returns the run label.
-func (r *Recorder) Label() string { return r.label }
 
 // SampleN returns the sampling stride (trace one load in N).
 func (r *Recorder) SampleN() uint64 { return r.sampleN }
+
+// Latency returns the per-request latency ledger (picoseconds; its
+// quantiles are in nanoseconds). Nil for a nil recorder.
+func (r *Recorder) Latency() *telemetry.Ledger {
+	if r == nil {
+		return nil
+	}
+	return &r.latency
+}
+
+// Energy returns the per-request DRAM energy ledger (integer
+// picojoules). Nil for a nil recorder.
+func (r *Recorder) Energy() *telemetry.Ledger {
+	if r == nil {
+		return nil
+	}
+	return &r.energy
+}
 
 // OffsetFor returns core's stride offset in [0, SampleN), derived from
 // the seed by a splitmix64 finalizer so cores do not sample in lockstep.
@@ -385,65 +394,21 @@ func (r *Recorder) Begin(core int, at sim.Time) *Span {
 	return sp
 }
 
-// Finish completes a span at time done: the latency is decomposed,
-// verified against the sum invariant, aggregated, emitted to the trace,
-// and the record returned to the pool. The caller must drop its span
-// pointer afterwards.
+// Finish completes a span at time done: its latency and energy
+// decompositions go through their ledgers (which verify and count the
+// sum invariant), the request is emitted to the trace, and the record
+// returns to the pool. The caller must drop its span pointer afterwards.
 func (r *Recorder) Finish(sp *Span, done sim.Time) {
 	comps, total := sp.breakdown(done)
-	var sum sim.Time
-	bad := false
-	for _, c := range comps {
-		sum += c
-		if c < 0 {
-			bad = true
-		}
+	var lat [NumComponents]int64
+	for i, c := range comps {
+		lat[i] = int64(c)
 	}
-	if sum != total {
-		bad = true
-	}
-	if bad {
-		r.violations++
-		if r.firstBad == "" {
-			r.firstBad = fmt.Sprintf(
-				"core %d issued=%dps done=%dps total=%dps sum=%dps components=%v",
-				sp.core, int64(sp.issued), int64(done), int64(total), int64(sum), comps)
-		}
-	}
+	r.latency.Add(lat[:], int64(total), func() string {
+		return fmt.Sprintf("core %d issued=%dps done=%dps", sp.core, int64(sp.issued), int64(done))
+	})
 	ecomps, etotal := sp.energyBreakdown()
-	var esum int64
-	ebad := false
-	for _, e := range ecomps {
-		esum += e
-		if e < 0 {
-			ebad = true
-		}
-	}
-	if esum != etotal || etotal < 0 {
-		ebad = true
-	}
-	if ebad {
-		r.energyViolations++
-		if r.firstBadEnergy == "" {
-			r.firstBadEnergy = fmt.Sprintf(
-				"core %d total=%dpJ sum=%dpJ components=%v",
-				sp.core, etotal, esum, ecomps)
-		}
-	}
-	r.count++
-	r.totalSumPS += int64(total)
-	r.totalHist.Observe(nonNegNS(total))
-	for i := range comps {
-		r.compSumPS[i] += int64(comps[i])
-		r.compHist[i].Observe(nonNegNS(comps[i]))
-	}
-	r.energySumPJ += etotal
-	if etotal >= 0 {
-		r.energyHist.Observe(uint64(etotal))
-	}
-	for i, e := range ecomps {
-		r.energyCompSumPJ[i] += e
-	}
+	r.energy.Add(ecomps[:], etotal, func() string { return fmt.Sprintf("core %d", sp.core) })
 	if r.trace != nil {
 		tid := r.trackBase + sp.core
 		r.trace.Duration("REQ", int64(sp.issued), int64(done-sp.issued), tid, -1)
@@ -455,142 +420,3 @@ func (r *Recorder) Finish(sp *Span, done sim.Time) {
 	}
 	r.pool = append(r.pool, sp)
 }
-
-// nonNegNS converts a component to whole nanoseconds, clamping the
-// (violation-counted) negative case so histogram buckets stay sane.
-func nonNegNS(t sim.Time) uint64 {
-	if t < 0 {
-		return 0
-	}
-	return uint64(t / sim.Nanosecond)
-}
-
-// Requests reports finished spans.
-func (r *Recorder) Requests() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.count
-}
-
-// Violations reports spans whose components failed the sum invariant.
-func (r *Recorder) Violations() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.violations
-}
-
-// FirstViolation describes the first invariant failure ("" when none).
-func (r *Recorder) FirstViolation() string {
-	if r == nil {
-		return ""
-	}
-	return r.firstBad
-}
-
-// EnergyViolations reports spans whose energy ledger disagreed with the
-// independently accumulated energy total.
-func (r *Recorder) EnergyViolations() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyViolations
-}
-
-// FirstEnergyViolation describes the first energy-invariant failure
-// ("" when none).
-func (r *Recorder) FirstEnergyViolation() string {
-	if r == nil {
-		return ""
-	}
-	return r.firstBadEnergy
-}
-
-// EnergySumPJ returns the total attributed energy across finished spans
-// in exact integer picojoules.
-func (r *Recorder) EnergySumPJ() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.energySumPJ
-}
-
-// EnergyMeanPJ returns the mean attributed energy per request (pJ).
-func (r *Recorder) EnergyMeanPJ() float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.energySumPJ) / float64(r.count)
-}
-
-// ComponentEnergySumPJ returns component c's attributed energy across
-// finished spans in exact integer picojoules.
-func (r *Recorder) ComponentEnergySumPJ(c Component) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyCompSumPJ[c]
-}
-
-// ComponentEnergyMeanPJ returns component c's mean attributed energy
-// per request (pJ).
-func (r *Recorder) ComponentEnergyMeanPJ(c Component) float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.energyCompSumPJ[c]) / float64(r.count)
-}
-
-// EnergyQuantilePJ returns the q-quantile of per-request attributed
-// energy in picojoules (log2-bucket upper bound).
-func (r *Recorder) EnergyQuantilePJ(q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyHist.Quantile(q)
-}
-
-// TotalMeanNS returns the mean end-to-end latency in nanoseconds.
-func (r *Recorder) TotalMeanNS() float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.totalSumPS) / float64(r.count) / psPerNS
-}
-
-// ComponentMeanNS returns component c's mean contribution per request
-// in nanoseconds.
-func (r *Recorder) ComponentMeanNS(c Component) float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.compSumPS[c]) / float64(r.count) / psPerNS
-}
-
-// ComponentSumNS returns component c's total across requests (ns).
-func (r *Recorder) ComponentSumNS(c Component) float64 {
-	if r == nil {
-		return 0
-	}
-	return float64(r.compSumPS[c]) / psPerNS
-}
-
-// TotalQuantileNS returns the q-quantile of end-to-end latency in
-// nanoseconds (log2-bucket upper bound; see telemetry.Histogram).
-func (r *Recorder) TotalQuantileNS(q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.totalHist.Quantile(q)
-}
-
-// ComponentQuantileNS returns the q-quantile of component c (ns).
-func (r *Recorder) ComponentQuantileNS(c Component, q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.compHist[c].Quantile(q)
-}
-
-const psPerNS = 1000

@@ -120,11 +120,17 @@ go run ./cmd/dasbench -fig 7a -energy -benchmarks mcf,soplex -instr 200000 >"$tm
 head -n "$(wc -l <"$tmp_quad")" "$tmp_obs" | cmp - "$tmp_quad"
 grep -q "Perf/watt: instructions per microjoule" "$tmp_obs"
 
-echo "== explain smoke (dasbench -explain standard,das)"
-# Full attribution pipeline end to end: Explain fails if any traced
-# request violates the components-sum-to-total invariant, so a clean
-# exit is the invariant check over real Standard and DAS runs.
-go run ./cmd/dasbench -explain standard,das -benchmarks mcf -instr 200000 >/dev/null
+echo "== committed reports: results_explain.txt and results_energy.txt reproduce"
+# The Makefile's exact explain and energy commands, byte-compared with
+# the committed files. Explain fails if any traced request violates the
+# components-sum-to-total invariant, so a clean exit is also the
+# attribution check over real Standard and DAS runs.
+go run ./cmd/dasbench -explain standard,das -benchmarks mcf,soplex \
+    -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
+cmp "$tmp_ref" results_explain.txt
+go run ./cmd/dasbench -energy -benchmarks mcf,soplex \
+    -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
+cmp "$tmp_ref" results_energy.txt
 
 echo "== benchmark module (perfbench: vet + self-tests)"
 # perfbench is its own Go module (it replaces repro with ../), so

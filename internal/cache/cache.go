@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -50,14 +51,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's metadata (the simulator carries no data).
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
 // mshr tracks one outstanding fill and the requests waiting on it.
 // Slots are recycled through the cache's free list with their fill
 // request's completion bound once, so a steady-state miss allocates
@@ -92,10 +85,10 @@ type Cache struct {
 	cfg     Config
 	eng     *sim.Engine
 	lower   mem.Component
-	sets    [][]line
+	tags    Tags
+	dirty   []bool // per tags slot
 	setMask uint64
 	blkBits uint
-	lruTick uint64
 
 	mshrs    map[uint64]*mshr
 	mshrPool []*mshr        // recycled MSHR slots
@@ -124,12 +117,10 @@ func New(cfg Config, eng *sim.Engine, lower mem.Component, cores int) (*Cache, e
 		cfg:     cfg,
 		eng:     eng,
 		lower:   lower,
-		sets:    make([][]line, nsets),
+		tags:    NewTags(nsets, cfg.Assoc),
+		dirty:   make([]bool, lines),
 		setMask: uint64(nsets - 1),
 		mshrs:   make(map[uint64]*mshr),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	for b := cfg.BlockSize; b > 1; b >>= 1 {
 		c.blkBits++
@@ -164,19 +155,9 @@ func (c *Cache) Access(req *mem.Request) {
 func (c *Cache) lookup(req *mem.Request) {
 	c.Stats.Accesses++
 	block := c.blockAddr(req.Addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == block {
-			c.Stats.Hits++
-			c.lruTick++
-			ln.lru = c.lruTick
-			if req.Write {
-				ln.dirty = true
-			}
-			req.Complete()
-			return
-		}
+	if c.hit(block, req) {
+		c.Stats.Hits++
+		return
 	}
 	// Miss.
 	if req.Writeback {
@@ -191,12 +172,7 @@ func (c *Cache) lookup(req *mem.Request) {
 	if req.Core >= 0 && req.Core < len(c.Stats.PerCoreMisses) {
 		c.Stats.PerCoreMisses[req.Core]++
 	}
-	if m, ok := c.mshrs[block]; ok {
-		c.Stats.Coalesced++
-		if req.Trace != nil {
-			req.Trace.StampMerge(c.eng.Now())
-		}
-		m.waiters = append(m.waiters, req)
+	if c.coalesce(block, req) {
 		return
 	}
 	// Meta (translation-table) fetches bypass the MSHR cap: demand misses
@@ -208,6 +184,35 @@ func (c *Cache) lookup(req *mem.Request) {
 		return
 	}
 	c.allocateMSHR(block, req)
+}
+
+// hit completes req if block is resident, making the line most
+// recently used and dirtying it on a write.
+func (c *Cache) hit(block uint64, req *mem.Request) bool {
+	i := c.tags.Find(c.setIndex(block), block)
+	if i < 0 {
+		return false
+	}
+	c.tags.Touch(i)
+	if req.Write {
+		c.dirty[i] = true
+	}
+	req.Complete()
+	return true
+}
+
+// coalesce merges req into the outstanding fill for block, if any.
+func (c *Cache) coalesce(block uint64, req *mem.Request) bool {
+	m, ok := c.mshrs[block]
+	if !ok {
+		return false
+	}
+	c.Stats.Coalesced++
+	if req.Trace != nil {
+		req.Trace.StampMerge(c.eng.Now())
+	}
+	m.waiters = append(m.waiters, req)
+	return true
 }
 
 // allocateMSHR starts a fill for block with req as first waiter,
@@ -291,23 +296,12 @@ func (c *Cache) wbSlot() *wbSlot {
 
 // install places block into its set, writing back the dirty victim.
 func (c *Cache) install(block uint64, waiters []*mem.Request) {
-	set := c.sets[c.setIndex(block)]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	v := &set[victim]
-	if v.valid && v.dirty {
+	v := c.tags.Victim(c.setIndex(block))
+	if old, evicted := c.tags.Install(v, block); evicted && c.dirty[v] {
 		c.Stats.Writebacks++
 		wb := c.wbSlot()
 		wb.r = mem.Request{
-			Addr:      v.tag,
+			Addr:      old,
 			Write:     true,
 			Writeback: true,
 			Core:      -1,
@@ -316,14 +310,7 @@ func (c *Cache) install(block uint64, waiters []*mem.Request) {
 		}
 		c.lower.Access(&wb.r)
 	}
-	c.lruTick++
-	dirty := false
-	for _, w := range waiters {
-		if w.Write {
-			dirty = true
-		}
-	}
-	*v = line{tag: block, valid: true, dirty: dirty, lru: c.lruTick}
+	c.dirty[v] = slices.ContainsFunc(waiters, func(w *mem.Request) bool { return w.Write })
 }
 
 // drainPending retries queued misses now that an MSHR freed up.
@@ -333,51 +320,23 @@ func (c *Cache) drainPending() {
 		copy(c.pending, c.pending[1:])
 		c.pending = c.pending[:len(c.pending)-1]
 		block := c.blockAddr(req.Addr)
-		if m, ok := c.mshrs[block]; ok {
-			c.Stats.Coalesced++
-			if req.Trace != nil {
-				req.Trace.StampMerge(c.eng.Now())
-			}
-			m.waiters = append(m.waiters, req)
-			continue
-		}
-		// Re-check the tags: an earlier fill may have brought the block in
-		// while this request sat in the pending queue.
-		set := c.sets[c.setIndex(block)]
-		hit := false
-		for i := range set {
-			ln := &set[i]
-			if ln.valid && ln.tag == block {
-				c.lruTick++
-				ln.lru = c.lruTick
-				if req.Write {
-					ln.dirty = true
-				}
-				req.Complete()
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		// Re-check the tags too: an earlier fill may have brought the
+		// block in while this request sat in the pending queue.
+		if !c.coalesce(block, req) && !c.hit(block, req) {
 			c.allocateMSHR(block, req)
 		}
 	}
 }
 
 // Reset rewinds the cache to its just-constructed state for in-place
-// reuse (exp.SystemPool): all lines invalidate, the LRU clock rewinds,
+// reuse (exp.SystemPool): all tags invalidate, the LRU clock rewinds,
 // outstanding MSHRs and queued misses drop, and statistics zero. The
-// set arrays, MSHR map buckets, and recycled MSHR slots (whose fill
+// tag array, MSHR map buckets, and recycled MSHR slots (whose fill
 // completions bind this *Cache once) are all retained, so a reset
 // allocates nothing. Telemetry detaches; re-attach per run.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = line{}
-		}
-	}
-	c.lruTick = 0
+	c.tags.Reset()
+	clear(c.dirty)
 	for block, m := range c.mshrs {
 		for i := range m.waiters {
 			m.waiters[i] = nil
@@ -399,13 +358,7 @@ func (c *Cache) Reset() {
 // used by property tests; not on the timing path).
 func (c *Cache) Contains(addr uint64) bool {
 	block := c.blockAddr(addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
+	return c.tags.Find(c.setIndex(block), block) >= 0
 }
 
 // OutstandingMisses reports the number of live MSHRs (diagnostics).

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/cache"
 )
 
 // tagEntryBytes is the modeled SRAM cost of one cached translation
@@ -17,18 +19,11 @@ const tagEntryBytes = 2
 // failed) LLC data lookup; a miss fetches the entry's table block
 // through the LLC and, if absent there, from DRAM.
 type TagCache struct {
-	sets    [][]tagLine
+	tags    cache.Tags // tags are global logical row ids
 	setMask uint64
-	tick    uint64
 
 	Lookups uint64
 	Hits    uint64
-}
-
-type tagLine struct {
-	row   uint64 // global logical row id
-	valid bool
-	lru   uint64
 }
 
 // NewTagCache builds a cache of capacityBytes with the given
@@ -38,11 +33,7 @@ func NewTagCache(capacityBytes, assoc int) (*TagCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := &TagCache{sets: make([][]tagLine, nsets), setMask: uint64(nsets - 1)}
-	for i := range tc.sets {
-		tc.sets[i] = make([]tagLine, ways)
-	}
-	return tc, nil
+	return &TagCache{tags: cache.NewTags(nsets, ways), setMask: uint64(nsets - 1)}, nil
 }
 
 // tagCacheShape returns the set count and ways NewTagCache builds for
@@ -68,21 +59,18 @@ func tagCacheShape(capacityBytes, assoc int) (nsets, ways int, err error) {
 }
 
 // Entries returns the modeled entry capacity.
-func (tc *TagCache) Entries() int { return len(tc.sets) * len(tc.sets[0]) }
+func (tc *TagCache) Entries() int { return tc.tags.Len() }
 
 // Lookup probes for row's entry and reports a hit, refreshing recency.
 func (tc *TagCache) Lookup(row uint64) bool {
 	tc.Lookups++
-	set := tc.sets[tc.index(row)]
-	for i := range set {
-		if set[i].valid && set[i].row == row {
-			tc.tick++
-			set[i].lru = tc.tick
-			tc.Hits++
-			return true
-		}
+	i := tc.tags.Find(tc.index(row), row)
+	if i < 0 {
+		return false
 	}
-	return false
+	tc.tags.Touch(i)
+	tc.Hits++
+	return true
 }
 
 // index spreads row ids across sets (rows are scattered, so low bits
@@ -93,75 +81,44 @@ func (tc *TagCache) index(row uint64) uint64 {
 	return (row >> 16) & tc.setMask
 }
 
-// Insert installs row's entry, evicting the LRU way. (Evicted entries
-// need no writeback: the in-DRAM table is updated in place on every
-// migration commit.)
+// Insert installs row's entry, refreshing it in place if already
+// resident (so a row never occupies two ways) and otherwise evicting
+// the LRU way. (Evicted entries need no writeback: the in-DRAM table is
+// updated in place on every migration commit.)
 func (tc *TagCache) Insert(row uint64) {
-	set := tc.sets[tc.index(row)]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].row == row {
-			victim = i
-			break
-		}
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
+	set := tc.index(row)
+	i := tc.tags.Find(set, row)
+	if i < 0 {
+		i = tc.tags.Victim(set)
 	}
-	tc.tick++
-	set[victim] = tagLine{row: row, valid: true, lru: tc.tick}
+	tc.tags.Install(i, row)
 }
 
 // Invalidate drops row's entry if present (e.g. on a detected parity
 // corruption) and reports whether one existed.
 func (tc *TagCache) Invalidate(row uint64) bool {
-	set := tc.sets[tc.index(row)]
-	for i := range set {
-		if set[i].valid && set[i].row == row {
-			set[i] = tagLine{}
-			return true
-		}
+	i := tc.tags.Find(tc.index(row), row)
+	if i < 0 {
+		return false
 	}
-	return false
+	tc.tags.Invalidate(i)
+	return true
 }
 
 // Contains probes for row without touching recency or the hit/lookup
 // counters (diagnostics and invariant checks).
 func (tc *TagCache) Contains(row uint64) bool {
-	set := tc.sets[tc.index(row)]
-	for i := range set {
-		if set[i].valid && set[i].row == row {
-			return true
-		}
-	}
-	return false
+	return tc.tags.Find(tc.index(row), row) >= 0
 }
 
 // VisitValid calls fn for every valid entry's row id (invariant
 // checks). Iteration order is deterministic: set-major, way-minor.
-func (tc *TagCache) VisitValid(fn func(row uint64)) {
-	for _, set := range tc.sets {
-		for i := range set {
-			if set[i].valid {
-				fn(set[i].row)
-			}
-		}
-	}
-}
+func (tc *TagCache) VisitValid(fn func(row uint64)) { tc.tags.VisitValid(fn) }
 
 // Reset invalidates every entry and rewinds the recency clock and
 // counters, leaving the cache indistinguishable from a fresh
-// NewTagCache of the same shape. The set arrays are retained.
+// NewTagCache of the same shape. The tag array is retained.
 func (tc *TagCache) Reset() {
-	for _, set := range tc.sets {
-		for i := range set {
-			set[i] = tagLine{}
-		}
-	}
-	tc.tick = 0
+	tc.tags.Reset()
 	tc.Lookups, tc.Hits = 0, 0
 }

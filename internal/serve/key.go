@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
@@ -113,18 +114,32 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 		if len(req.Benchmarks) == 0 {
 			return nil, fmt.Errorf("request: design runs need a benchmarks list")
 		}
+		// DesignFigure ignores mixes; keying on them would split one
+		// simulation across cache entries.
+		if len(req.Mixes) > 0 {
+			return nil, fmt.Errorf("request: design runs take no mixes")
+		}
 	default:
-		if !validFigure(figure) {
+		if !slices.Contains(exp.FigureNames(), figure) {
 			return nil, fmt.Errorf("request: unknown figure %q (want one of %s)",
 				figure, strings.Join(exp.FigureNames(), ", "))
 		}
 		j.Figure = figure
 	}
+	// Benchmark order is the core assignment, so ["mcf","lbm"] and
+	// ["lbm","mcf"] are different simulations. A design run repeats a
+	// benchmark to run it on several cores; in a figure a name is a
+	// table row, so a repeat is rejected like a repeated mix, which
+	// bounds both lists by the catalog size.
+	var mixes []string
+	for _, m := range workload.Mixes() {
+		mixes = append(mixes, m.Name)
+	}
 	var err error
-	if j.Benchmarks, err = normalizeBenchmarks(req.Benchmarks); err != nil {
+	if j.Benchmarks, err = normalizeNames("benchmark", req.Benchmarks, workload.AllSingleNames(), !j.HasDesign); err != nil {
 		return nil, err
 	}
-	if j.Mixes, err = normalizeMixes(req.Mixes); err != nil {
+	if j.Mixes, err = normalizeNames("mix", req.Mixes, mixes, true); err != nil {
 		return nil, err
 	}
 	if j.HasDesign {
@@ -146,56 +161,22 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 	return j, nil
 }
 
-// validFigure reports whether name is a dispatchable figure.
-func validFigure(name string) bool {
-	for _, n := range exp.FigureNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// normalizeBenchmarks trims and validates benchmark names against the
-// Table 2 catalog. Order is preserved: it is the core assignment, so
-// ["mcf","lbm"] and ["lbm","mcf"] are genuinely different simulations.
-func normalizeBenchmarks(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	catalog := workload.AllSingleNames()
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if !contains(catalog, n) {
-			return nil, fmt.Errorf("request: unknown benchmark %q", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// normalizeMixes trims and validates mix names (M1..M8).
-func normalizeMixes(names []string) ([]string, error) {
+// normalizeNames trims names and checks each against catalog, keeping
+// their order; with unique set a repeated name is rejected.
+func normalizeNames(kind string, names, catalog []string, unique bool) ([]string, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
 	out := make([]string, 0, len(names))
 	for _, n := range names {
 		n = strings.TrimSpace(n)
-		if _, err := workload.LookupMix(n); err != nil {
-			return nil, err
+		if !slices.Contains(catalog, n) {
+			return nil, fmt.Errorf("request: unknown %s %q", kind, n)
+		}
+		if unique && slices.Contains(out, n) {
+			return nil, fmt.Errorf("request: duplicate %s %q", kind, n)
 		}
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -402,6 +402,11 @@ func TestBadRequests(t *testing.T) {
 		// inside Build, after the job was keyed and queued.
 		`{"figure": "7a", "config": {"group_size": 7}}`,
 		`{"design": "das", "benchmarks": ["mcf"], "config": {"rob": 0}}`,
+		// Duplicate names would be admitted up to the body limit, and a
+		// design run's mixes are ignored yet would enter the key.
+		`{"figure": "7a", "benchmarks": ["mcf", " mcf"]}`,
+		`{"figure": "7d", "mixes": ["M1", "M2", "M1"]}`,
+		`{"design": "das", "benchmarks": ["mcf"], "mixes": ["M1"]}`,
 	} {
 		resp, data := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -43,12 +43,12 @@ func FromNS(ns float64) Time {
 func (t Time) NS() float64 { return float64(t) / 1000 }
 
 // entry is a single scheduled callback, stored by value inside the
-// event queue: scheduling allocates no per-event heap node. Exactly one
-// of fn (closure form) and cfn (bound-call form) is set.
+// event queue: scheduling allocates no per-event heap node. Every event
+// is a bound call cfn(a, b); the closure form stores its func() in a
+// behind callClosure.
 type entry struct {
 	at  Time
 	seq uint64 // scheduling-order tie-break for equal timestamps
-	fn  func()
 	cfn func(a, b any)
 	a   any
 	b   any
@@ -63,13 +63,11 @@ func (e *entry) before(o *entry) bool {
 }
 
 // fire invokes the callback.
-func (e *entry) fire() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.cfn(e.a, e.b)
-}
+func (e *entry) fire() { e.cfn(e.a, e.b) }
+
+// callClosure is the trampoline behind Schedule/ScheduleAt. A func
+// value is pointer-shaped, so storing it in an any allocates nothing.
+func callClosure(a, _ any) { a.(func())() }
 
 // Engine is a discrete-event simulator. The zero value is ready to use;
 // NewEngine additionally recycles queue storage from earlier engines.
@@ -143,13 +141,10 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // misuse by a component, not a recoverable runtime condition, so they
 // are treated as assertion failures instead of returned errors.
 func (e *Engine) ScheduleAt(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at past time %d (now %d)", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	e.q.push(entry{at: at, seq: e.allocSeq(), fn: fn})
+	e.ScheduleCallAt(at, callClosure, fn, nil)
 }
 
 // ScheduleCall runs fn(a, b) after delay. This is the allocation-free

@@ -15,7 +15,7 @@ import (
 // a few cycles out, DRAM commands and completions within tens of
 // nanoseconds — while only rare events (refresh deadlines, idle-channel
 // wakes, the watchdog) live further ahead. A comparison-based heap pays
-// O(log n) dependent 64-byte entry moves on every operation; the wheel
+// O(log n) dependent 56-byte entry moves on every operation; the wheel
 // turns push into an append plus a bit-set and pop into a two-level
 // bitmap probe plus a short bucket scan, both O(1) for the dominant
 // traffic.

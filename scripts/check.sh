@@ -141,6 +141,7 @@ echo "== benchmark module (perfbench: vet + self-tests)"
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
+go test -run '^$' -fuzz FuzzTagCache -fuzztime 10s ./internal/core
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... >/dev/null

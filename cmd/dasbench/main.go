@@ -49,7 +49,7 @@ func main() {
 
 func run() error {
 	var (
-		figs     = flag.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
+		figs     = flag.String("fig", "tables", "comma-separated figures: "+strings.Join(exp.FigureNames(), ",")+", or all (every figure but energy and faults) or tables")
 		energyF  = flag.Bool("energy", false, "append the perf-per-watt figure (instructions/uJ, EDP vs Standard, pJ/instr decomposition) to the selected figures")
 		outPath  = flag.String("out", "", "write output to file instead of stdout")
 		csvDir   = flag.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
@@ -176,38 +176,47 @@ func run() error {
 	}()
 	s.Ctx = ctx
 
-	wanted := strings.Split(*figs, ",")
-	if *figs == "all" {
-		wanted = []string{"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"}
-	} else if *figs == "tables" {
-		wanted = []string{"table1", "table2", "area"}
+	wanted := exp.FigureGroup(*figs)
+	if wanted == nil {
+		wanted = strings.Split(*figs, ",")
 	}
 	if *explainSel != "" && !flagVisited("fig") {
 		wanted = nil // -explain alone skips the default tables
 	}
 	if *energyF {
-		// Deliberately not part of "all": the committed results_*.txt
-		// goldens predate the energy model and must stay byte-identical.
 		if !flagVisited("fig") && *explainSel == "" {
 			wanted = nil // -energy alone skips the default tables
 		}
 		wanted = append(wanted, "energy")
 	}
 
-	perfCSV := "figure,wall_seconds,events,events_per_sec,alloc_bytes,alloc_objects\n"
+	// The selected figures, then the explain report, run and print
+	// through one path.
+	type report struct {
+		name string
+		run  func() (*exp.Figure, error)
+	}
+	var reports []report
 	for _, name := range wanted {
+		name = strings.TrimSpace(strings.ToLower(name))
+		reports = append(reports, report{name, func() (*exp.Figure, error) { return s.Figure(name) }})
+	}
+	if *explainSel != "" {
+		reports = append(reports, report{"explain", func() (*exp.Figure, error) { return s.Explain(explainA, explainB) }})
+	}
+	perfCSV := "figure,wall_seconds,events,events_per_sec,alloc_bytes,alloc_objects\n"
+	for _, r := range reports {
 		if ctx.Err() != nil {
 			log.Print("interrupted; flushing sinks")
 			break
 		}
-		name = strings.TrimSpace(strings.ToLower(name))
-		fig, err := s.Measured(func() (*exp.Figure, error) { return s.Figure(name) })
+		fig, err := s.Measured(r.run)
+		if errors.Is(err, context.Canceled) {
+			log.Printf("%s: interrupted mid-figure; flushing sinks", r.name)
+			break
+		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				log.Printf("%s: interrupted mid-figure; flushing sinks", name)
-				break
-			}
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
 		fmt.Fprint(out, fig.Render())
 		if *csvDir != "" {
@@ -219,25 +228,6 @@ func run() error {
 		perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
 			fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
 			fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-	}
-	if *explainSel != "" && ctx.Err() == nil {
-		fig, err := s.Measured(func() (*exp.Figure, error) { return s.Explain(explainA, explainB) })
-		if err != nil && errors.Is(err, context.Canceled) {
-			log.Print("explain: interrupted; flushing sinks")
-		} else if err != nil {
-			return fmt.Errorf("explain: %w", err)
-		} else {
-			fmt.Fprint(out, fig.Render())
-			if *csvDir != "" {
-				if err := writeCSVs(*csvDir, fig); err != nil {
-					return err
-				}
-			}
-			log.Printf("%s: %s", fig.ID, fig.Perf)
-			perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
-				fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
-				fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-		}
 	}
 	if *csvDir != "" {
 		if err := os.WriteFile(filepath.Join(*csvDir, "perf.csv"), []byte(perfCSV), 0o644); err != nil {

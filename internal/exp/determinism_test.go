@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,17 +16,14 @@ import (
 // which renders the same figure under both builds and byte-compares.
 
 // renderFig7a computes a two-benchmark Fig7a with the given session
-// parallelism, prewarming baselines so the concurrent path actually
-// runs runs in parallel rather than serializing on the memo locks.
+// parallelism; fill runs the figure's baselines and designs through
+// runAll, so a wide session really runs them concurrently.
 func renderFig7a(t *testing.T, par int) string {
 	t.Helper()
 	s := NewSession(tinyConfig())
 	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
-	if err := s.Prewarm(s.singleSets()); err != nil {
-		t.Fatal(err)
-	}
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,5 +49,40 @@ func TestDeterminismRepeatedSessions(t *testing.T) {
 	b := renderFig7a(t, 1)
 	if a != b {
 		t.Fatalf("figure output differs between identical sessions:\n%s\nvs:\n%s", a, b)
+	}
+}
+
+// TestRunAllLowestFailure pins runAll's error contract: jobs start in
+// index order, none starts after a failure, and the error returned is
+// the lowest-index failure's at any parallelism.
+func TestRunAllLowestFailure(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		s := NewSession(tinyConfig())
+		s.Parallelism = par
+		var started atomic.Int32
+		jobs := make([]job, 64)
+		for i := range jobs {
+			jobs[i] = func() error {
+				started.Add(1)
+				if i == 3 || i == 5 {
+					return fmt.Errorf("job %d", i)
+				}
+				return nil
+			}
+		}
+		err := s.runAll(jobs)
+		if err == nil || err.Error() != "exp: job 3" {
+			t.Fatalf("parallelism %d: err = %v, want exp: job 3", par, err)
+		}
+		// Serially the run stops at job 3, like a plain loop. In
+		// parallel a failure stops new claims by job 5 at the latest, and
+		// each other worker holds at most one claim.
+		limit := 5 + par
+		if par == 1 {
+			limit = 4
+		}
+		if n := int(started.Load()); n > limit {
+			t.Fatalf("parallelism %d: %d jobs started, want at most %d", par, n, limit)
+		}
 	}
 }

@@ -24,22 +24,9 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	if s.Observe == nil || s.Observe.ReqTraceN <= 0 {
 		return nil, fmt.Errorf("exp: Explain requires Observe.ReqTraceN > 0 (request tracing off)")
 	}
-	sets := s.singleSets()
-	names := s.singles()
-
-	// Run both designs over every workload in parallel (memoized, so
-	// figures already computed this session are reused).
-	var jobs []job
-	for _, set := range sets {
-		for _, d := range []core.Design{a, b} {
-			set, d := set, d
-			jobs = append(jobs, func() error {
-				_, err := s.Cached(s.Cfg, d, set)
-				return err
-			})
-		}
-	}
-	if err := s.runAll(jobs); err != nil {
+	// Memoized, so runs figures already computed this session are reused.
+	p := &plan{rows: s.singleRows(), cols: designs(a, b)(s)}
+	if err := s.fill(p); err != nil {
 		return nil, err
 	}
 
@@ -76,25 +63,25 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	}
 	designs := [2]core.Design{a, b}
 	var lat, en [2]telemetry.Ledger // per design, merged over workloads
-	for i, set := range sets {
+	for _, row := range p.rows {
 		var rs [2]*reqtrace.Recorder
 		for j, d := range designs {
-			r, err := recorder(d, set)
+			r, err := recorder(d, row.set)
 			if err != nil {
 				return nil, err
 			}
 			rs[j] = r
 			l := r.Latency()
-			waterfall.AddRow(append([]string{names[i], fmt.Sprintf("%v", d), fmt.Sprintf("%d", l.Count())},
+			waterfall.AddRow(append([]string{row.name, fmt.Sprintf("%v", d), fmt.Sprintf("%d", l.Count())},
 				latencyAxis.cells(l, nil)...)...)
-			ewaterfall.AddRow(append([]string{names[i], fmt.Sprintf("%v", d)}, energyAxis.cells(r.Energy(), nil)...)...)
-			quantiles.AddRow(names[i], fmt.Sprintf("%v", d),
+			ewaterfall.AddRow(append([]string{row.name, fmt.Sprintf("%v", d)}, energyAxis.cells(r.Energy(), nil)...)...)
+			quantiles.AddRow(row.name, fmt.Sprintf("%v", d),
 				fmt.Sprintf("%d", l.Quantile(0.50)), fmt.Sprintf("%d", l.Quantile(0.95)), fmt.Sprintf("%d", l.Quantile(0.99)))
 			lat[j].Merge(l)
 			en[j].Merge(r.Energy())
 		}
-		waterfall.AddRow(append([]string{names[i], "Δ", ""}, latencyAxis.cells(rs[1].Latency(), rs[0].Latency())...)...)
-		ewaterfall.AddRow(append([]string{names[i], "Δ"}, energyAxis.cells(rs[1].Energy(), rs[0].Energy())...)...)
+		waterfall.AddRow(append([]string{row.name, "Δ", ""}, latencyAxis.cells(rs[1].Latency(), rs[0].Latency())...)...)
+		ewaterfall.AddRow(append([]string{row.name, "Δ"}, energyAxis.cells(rs[1].Energy(), rs[0].Energy())...)...)
 	}
 	waterfall.Caption = fmt.Sprintf(
 		"Sampled 1-in-%d demand loads per core; components sum exactly to total (verified per request).",

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -23,6 +24,16 @@ var (
 	CorruptSweepRates = []float64{0, 0.001, 0.01, 0.1}
 )
 
+// faultSweeps is one DAS-DRAM column per sweep point: the migration-
+// failure, weak-row and corruption sweeps in that order. The three
+// zero-rate points are the same run.
+func faultSweeps(s *Session) []planCol {
+	return slices.Concat(
+		sweep(MigFailSweepRates, "mig-fail %v", func(c *config.Config, r float64) { c.MigFailRate = r })(s),
+		sweep(WeakRowSweepRates, "weak-row %v", func(c *config.Config, r float64) { c.WeakRowRate = r })(s),
+		sweep(CorruptSweepRates, "corruption %v", func(c *config.Config, r float64) { c.TagCorruptRate, c.TableCorruptRate = r, r })(s))
+}
+
 // faultRow is one sweep point aggregated over the workload set.
 type faultRow struct {
 	improvement float64
@@ -30,21 +41,13 @@ type faultRow struct {
 	promotions  uint64
 }
 
-// faultPoint runs DAS-DRAM at one fault configuration over every
-// single-programmed workload and aggregates the outcome.
-func (s *Session) faultPoint(cfg config.Config) (*faultRow, error) {
+// faultPoint aggregates column c of the fault plan over every workload.
+func faultPoint(p *plan, c int) (*faultRow, error) {
 	row := &faultRow{}
 	var ratios []float64
-	for _, set := range s.singleSets() {
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Cached(cfg, core.DAS, set)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", set[0], err)
-		}
-		ratios = append(ratios, res.Speedup(base))
+	for r := range p.rows {
+		res := p.res[r][c]
+		ratios = append(ratios, res.Speedup(p.std[r]))
 		row.promotions += res.Promotions
 		f := &row.faults
 		f.MigFailures += res.Faults.MigFailures
@@ -58,29 +61,29 @@ func (s *Session) faultPoint(cfg config.Config) (*faultRow, error) {
 	}
 	imp, err := stats.GmeanImprovementErr(ratios)
 	if err != nil {
-		return nil, fmt.Errorf("fault-sweep gmean: %w", err)
+		return nil, fmt.Errorf("fault-sweep %s gmean: %w", p.cols[c].name, err)
 	}
 	row.improvement = imp
 	return row, nil
 }
 
-// FaultSweep measures how DAS-DRAM's improvement over Standard DRAM
+// renderFaults renders how DAS-DRAM's improvement over Standard DRAM
 // degrades as device faults are injected into the management path: one
-// sweep per fault class. Every run executes with the invariant checker
+// table per fault class. Every run executes with the invariant checker
 // and watchdog armed, so a rendered figure doubles as evidence that
 // degradation was graceful (no violation, no hang) at every point.
-func (s *Session) FaultSweep() (*Figure, error) {
+func renderFaults(_ *Session, p *plan) (*Figure, error) {
 	mig := &stats.Table{
 		Title:  "Migration-failure sweep",
 		Header: []string{"fail rate", "DAS vs Std", "failures", "retries", "pinned rows", "breaker trips", "promotions"},
 	}
+	c := 0 // the next column of the plan
 	for _, rate := range MigFailSweepRates {
-		cfg := s.Cfg
-		cfg.MigFailRate = rate
-		row, err := s.faultPoint(cfg)
+		row, err := faultPoint(p, c)
 		if err != nil {
-			return nil, fmt.Errorf("mig-fail %v: %w", rate, err)
+			return nil, err
 		}
+		c++
 		mig.AddRow(fmt.Sprintf("%.2f", rate), fmt.Sprintf("%+.2f%%", row.improvement),
 			fmt.Sprint(row.faults.MigFailures), fmt.Sprint(row.faults.MigRetries),
 			fmt.Sprint(row.faults.PinnedRows), fmt.Sprint(row.faults.MigBreakerTrips),
@@ -93,12 +96,11 @@ func (s *Session) FaultSweep() (*Figure, error) {
 		Header: []string{"weak rate", "DAS vs Std", "weak services", "fenced groups", "promotions"},
 	}
 	for _, rate := range WeakRowSweepRates {
-		cfg := s.Cfg
-		cfg.WeakRowRate = rate
-		row, err := s.faultPoint(cfg)
+		row, err := faultPoint(p, c)
 		if err != nil {
-			return nil, fmt.Errorf("weak-row %v: %w", rate, err)
+			return nil, err
 		}
+		c++
 		weak.AddRow(fmt.Sprintf("%.2f", rate), fmt.Sprintf("%+.2f%%", row.improvement),
 			fmt.Sprint(row.faults.WeakServices), fmt.Sprint(row.faults.FencedGroups),
 			fmt.Sprint(row.promotions))
@@ -110,13 +112,11 @@ func (s *Session) FaultSweep() (*Figure, error) {
 		Header: []string{"corrupt rate", "DAS vs Std", "tag drops", "table refetches", "promotions"},
 	}
 	for _, rate := range CorruptSweepRates {
-		cfg := s.Cfg
-		cfg.TagCorruptRate = rate
-		cfg.TableCorruptRate = rate
-		row, err := s.faultPoint(cfg)
+		row, err := faultPoint(p, c)
 		if err != nil {
-			return nil, fmt.Errorf("corruption %v: %w", rate, err)
+			return nil, err
 		}
+		c++
 		corr.AddRow(fmt.Sprintf("%.3f", rate), fmt.Sprintf("%+.2f%%", row.improvement),
 			fmt.Sprint(row.faults.TagCorruptions), fmt.Sprint(row.faults.TableRefetches),
 			fmt.Sprint(row.promotions))

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/area"
 	"repro/internal/config"
@@ -31,332 +32,423 @@ func (f *Figure) Render() string {
 	return out
 }
 
-// singles returns the benchmark list a session's figures iterate: the
-// session's Benchmarks override if set, else the full Table 2 catalog.
-func (s *Session) singles() []string {
-	if len(s.Benchmarks) > 0 {
-		return s.Benchmarks
-	}
-	return workload.AllSingleNames()
+// figureDef is one catalog entry: the runs a figure needs, declared as
+// its plan's columns over the single-program or mix rows, and how the
+// filled plan renders.
+type figureDef struct {
+	name  string
+	cols  func(s *Session) []planCol // nil: a static table, no runs
+	mixes bool                       // rows are the mixes, not single benchmarks
+	base  bool                       // each row also needs its Standard baseline
+	// extra marks figures outside dasbench's "-fig all": the committed
+	// results_*.txt goldens predate them and must stay byte-identical.
+	extra  bool
+	render func(s *Session, p *plan) (*Figure, error)
 }
 
-// singleSets returns each single-programmed benchmark as its own set.
-func (s *Session) singleSets() [][]string {
-	var sets [][]string
-	for _, n := range s.singles() {
-		sets = append(sets, []string{n})
-	}
-	return sets
+// catalog is every figure Figure dispatches, in presentation order.
+var catalog = []figureDef{
+	{name: "table1", render: func(s *Session, _ *plan) (*Figure, error) { return Table1(s.Cfg), nil }},
+	{name: "table2", render: func(*Session, *plan) (*Figure, error) { return Table2(), nil }},
+	{name: "area", render: func(*Session, *plan) (*Figure, error) { return AreaFigure(), nil }},
+	{name: "7a", cols: comparison, base: true,
+		render: renderSpeedup("Fig7a", "Single-programming performance improvements", improvementCaption)},
+	{name: "7b", cols: designs(core.DAS), render: renderBehaviour("Fig7b", "Single-programming MPKI, PPKM and footprints")},
+	{name: "7c", cols: designs(core.SAS, core.DAS),
+		render: renderLocation("Fig7c", "Single-programming access locations (static vs dynamic)")},
+	{name: "7d", cols: comparison, mixes: true, base: true,
+		render: renderSpeedup("Fig7d", "Multi-programming performance improvements", improvementCaption)},
+	{name: "7e", cols: designs(core.DAS), mixes: true, render: renderBehaviour("Fig7e", "Multi-programming MPKI, PPKM and footprints")},
+	{name: "7f", cols: designs(core.SAS, core.DAS), mixes: true,
+		render: renderLocation("Fig7f", "Multi-programming access locations (static vs dynamic)")},
+	{name: "8", cols: sweep(FilterThresholds, "thr=%d", func(c *config.Config, v int) { c.FilterThreshold = v }), base: true,
+		render: renderFig8},
+	{name: "9a", cols: tagCacheSweep, base: true, render: renderSpeedup("Fig9a", "Translation cache capacities", "")},
+	{name: "9b", cols: sweep(GroupSizes, "%d-row", func(c *config.Config, v int) { c.GroupSize = v }), base: true,
+		render: renderSpeedup("Fig9b", "Migration group sizes", "")},
+	{name: "9c", cols: sweep(FastRatios, "1/%d", func(c *config.Config, v int) { c.FastDenom, c.Replacement = v, "random" }), base: true,
+		render: renderSpeedup("Fig9c", "Fast-level capacity ratios, random replacement", "")},
+	{name: "9d", cols: sweep(FastRatios, "1/%d", func(c *config.Config, v int) { c.FastDenom, c.Replacement = v, "lru" }), base: true,
+		render: renderSpeedup("Fig9d", "Fast-level capacity ratios, lru replacement", "")},
+	{name: "power", cols: designs(core.SAS, core.CHARM, core.DAS, core.FS), base: true, render: renderPower},
+	{name: "energy", cols: designs(core.AllDesigns()...), base: true, extra: true, render: renderEnergy},
+	{name: "faults", cols: faultSweeps, base: true, extra: true, render: renderFaults},
 }
 
-// mixSets returns the M1-M8 benchmark lists (or the session's Mixes
-// override).
-func (s *Session) mixSets() ([][]string, []string) {
+// FigureNames lists every name Figure dispatches, in presentation
+// order. "tables" and "all" are the dasbench aliases FigureGroup
+// expands, not dispatchable names, so they are absent here.
+func FigureNames() []string {
+	var names []string
+	for _, f := range catalog {
+		names = append(names, f.name)
+	}
+	return names
+}
+
+// FigureGroup expands a dasbench -fig alias from the catalog: "all" is
+// every figure but the extras (energy, faults), "tables" every entry
+// that runs no simulation. Any other name returns nil.
+func FigureGroup(alias string) []string {
+	var names []string
+	for _, f := range catalog {
+		if (alias == "all" && !f.extra) || (alias == "tables" && f.cols == nil) {
+			names = append(names, f.name)
+		}
+	}
+	return names
+}
+
+// lookup returns the catalog entry for name, or nil.
+func lookup(name string) *figureDef {
+	for i := range catalog {
+		if catalog[i].name == name {
+			return &catalog[i]
+		}
+	}
+	return nil
+}
+
+// Figure regenerates one catalog figure: its plan, filled, rendered. It
+// is the single entry point shared by the CLI (dasbench -fig) and the
+// serving layer (dasserve requests), so both expose exactly the same
+// catalog.
+func (s *Session) Figure(name string) (*Figure, error) {
+	f := lookup(name)
+	if f == nil {
+		return nil, fmt.Errorf("unknown figure %q", name)
+	}
+	var p *plan
+	if f.cols != nil {
+		var err error
+		if p, err = f.plan(s); err != nil {
+			return nil, err
+		}
+		if err := s.fill(p); err != nil {
+			return nil, err
+		}
+	}
+	return f.render(s, p)
+}
+
+// plan lists the runs a figure needs: one row per benchmark set, one
+// column per (config, design) run over every row, and whether each row
+// also needs its Standard baseline. fill runs it; a render reads only
+// the filled results.
+type plan struct {
+	rows []planRow
+	cols []planCol
+	base bool
+
+	// Filled by fill, indexed like rows and cols.
+	std []*Result   // each row's Standard baseline, when base
+	res [][]*Result // [row][col]
+}
+
+type planRow struct {
+	name string
+	set  []string
+}
+
+type planCol struct {
+	name   string // the column header
+	cfg    config.Config
+	design core.Design
+}
+
+// header is a plan's table header: "workload", then each column's name.
+func (p *plan) header() []string {
+	h := []string{"workload"}
+	for _, c := range p.cols {
+		h = append(h, c.name)
+	}
+	return h
+}
+
+// plan builds f's plan over the session's workload lists. An unknown
+// mix name fails here, before any run starts.
+func (f *figureDef) plan(s *Session) (*plan, error) {
+	rows, err := s.singleRows(), error(nil)
+	if f.mixes {
+		rows, err = s.mixRows()
+	}
+	return &plan{rows: rows, cols: f.cols(s), base: f.base}, err
+}
+
+// singleRows is one row per single-programmed benchmark of the session:
+// its Benchmarks override, else the Table 2 catalog.
+func (s *Session) singleRows() []planRow {
+	names := s.Benchmarks
+	if len(names) == 0 {
+		names = workload.AllSingleNames()
+	}
+	var rows []planRow
+	for _, n := range names {
+		rows = append(rows, planRow{n, []string{n}})
+	}
+	return rows
+}
+
+// mixRows is one row per M1-M8 mix (or the session's Mixes override).
+func (s *Session) mixRows() ([]planRow, error) {
 	mixes := workload.Mixes()
 	if len(s.Mixes) > 0 {
 		mixes = nil
 		for _, name := range s.Mixes {
 			m, err := workload.LookupMix(name)
-			if err == nil {
-				mixes = append(mixes, m)
-			}
-		}
-	}
-	var sets [][]string
-	var names []string
-	for _, m := range mixes {
-		sets = append(sets, m.Benchmarks)
-		names = append(names, m.Name)
-	}
-	return sets, names
-}
-
-// multiConfig adapts the session config for 4-core runs.
-func multiConfig(cfg config.Config) config.Config {
-	cfg.Cores = 4
-	return cfg
-}
-
-// comparisonDesigns are the five non-baseline designs of Figure 7.
-var comparisonDesigns = []core.Design{core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS}
-
-// improvementFigure builds a Fig 7a/7d-style table: one row per
-// workload set, one column per design, gmean last.
-func (s *Session) improvementFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title:  title,
-		Header: []string{"workload", "SAS-DRAM", "CHARM", "DAS-DRAM", "DAS-DRAM(FM)", "FS-DRAM"},
-	}
-	ratios := make(map[core.Design][]float64)
-	for i, set := range sets {
-		row := []string{rowNames[i]}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range comparisonDesigns {
-			res, err := s.Cached(cfg, d, set)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", rowNames[i], d, err)
+				return nil, err
 			}
-			ratio := res.Speedup(base)
-			ratios[d] = append(ratios[d], ratio)
-			row = append(row, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
+			mixes = append(mixes, m)
 		}
-		tbl.AddRow(row...)
 	}
-	gm := []string{"gmean"}
-	for _, d := range comparisonDesigns {
-		imp, err := stats.GmeanImprovementErr(ratios[d])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v gmean: %w", id, d, err)
+	var rows []planRow
+	for _, m := range mixes {
+		rows = append(rows, planRow{m.Name, m.Benchmarks})
+	}
+	return rows, nil
+}
+
+// run is one simulation a plan needs.
+type run struct {
+	label  string // "row/column", for error context
+	cfg    config.Config
+	design core.Design
+	set    []string
+}
+
+// runs lists p's distinct simulations in row-major order, each row's
+// baseline first, and for every cell the index of the run it reads
+// (std[r] is -1 without baselines). Cells that land in one memo slot —
+// a Standard column and the baseline, sweep points the scaled config
+// collapses onto one value — share a run, exactly as Cached would.
+func (s *Session) runs(p *plan) (runs []run, std []int, cells [][]int) {
+	at := make(map[string]int)
+	slot := func(label string, cfg config.Config, d core.Design, set []string) int {
+		key := "std|" + wkey(set) // Cached sends Standard to the per-set baseline
+		if d != core.Standard {
+			key = resultKey(cfg, d, set)
 		}
-		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
-	}
-	tbl.AddRow(gm...)
-	tbl.Caption = "Performance improvement over Standard (homogeneous) DRAM."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// FigureNames lists every name Figure dispatches, in presentation
-// order. "tables" and "all" are the dasbench aliases expanded by the
-// CLI, not dispatchable names, so they are absent here.
-func FigureNames() []string {
-	return []string{"table1", "table2", "area",
-		"7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d",
-		"power", "energy", "faults"}
-}
-
-// Figure dispatches a figure name to its driver. It is the single entry
-// point shared by the CLI (dasbench -fig) and the serving layer
-// (dasserve requests), so both expose exactly the same catalog.
-func (s *Session) Figure(name string) (*Figure, error) {
-	switch name {
-	case "table1":
-		return Table1(s.Cfg), nil
-	case "table2":
-		return Table2(), nil
-	case "area":
-		return AreaFigure(), nil
-	case "7a":
-		return s.Fig7a()
-	case "7b":
-		return s.Fig7b()
-	case "7c":
-		return s.Fig7c()
-	case "7d":
-		return s.Fig7d()
-	case "7e":
-		return s.Fig7e()
-	case "7f":
-		return s.Fig7f()
-	case "8":
-		return s.Fig8()
-	case "9a":
-		return s.Fig9a()
-	case "9b":
-		return s.Fig9b()
-	case "9c":
-		return s.Fig9c()
-	case "9d":
-		return s.Fig9d()
-	case "power":
-		return s.PowerFigure()
-	case "energy":
-		return s.EnergyFigure()
-	case "faults":
-		return s.FaultSweep()
-	default:
-		return nil, fmt.Errorf("unknown figure %q", name)
-	}
-}
-
-// DesignFigure runs one design over one benchmark set (one core per
-// benchmark) and renders it against the Standard baseline: the smallest
-// servable unit of work, and the request shape dasserve caches most
-// often.
-func (s *Session) DesignFigure(design core.Design, benchmarks []string) (*Figure, error) {
-	if len(benchmarks) == 0 {
-		return nil, fmt.Errorf("exp: design run needs at least one benchmark")
-	}
-	base, err := s.Baseline(benchmarks)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Cached(s.Cfg, design, benchmarks)
-	if err != nil {
-		return nil, err
-	}
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("%v over %s", design, wkey(benchmarks)),
-		Header: []string{"core", "benchmark", "IPC", "improvement", "rb", "fast", "slow"},
-	}
-	rb, fast, slow := res.Access.Fractions()
-	for i, c := range res.PerCore {
-		imp := (c.IPC/base.PerCore[i].IPC - 1) * 100
-		loc := []string{"", "", ""}
-		if i == 0 { // access locations are system-wide, print once
-			loc = []string{stats.Percent(rb), stats.Percent(fast), stats.Percent(slow)}
+		i, ok := at[key]
+		if !ok {
+			i = len(runs)
+			at[key] = i
+			runs = append(runs, run{label, cfg, d, set})
 		}
-		tbl.AddRow(fmt.Sprintf("%d", i), c.Benchmark,
-			fmt.Sprintf("%.3f", c.IPC), fmt.Sprintf("%+.2f%%", imp),
-			loc[0], loc[1], loc[2])
+		return i
 	}
-	if design != core.Standard {
-		tbl.AddRow("", "mean", "", fmt.Sprintf("%+.2f%%", res.Improvement(base)), "", "", "")
-	}
-	tbl.Caption = "Improvement is per-core IPC versus the Standard baseline of the same benchmarks."
-	return &Figure{ID: "Run", Title: tbl.Title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// Fig7a regenerates Figure 7a: single-programmed performance
-// improvements.
-func (s *Session) Fig7a() (*Figure, error) {
-	return s.improvementFigure("Fig7a", "Single-programming performance improvements",
-		s.Cfg, s.singleSets(), s.singles())
-}
-
-// Fig7d regenerates Figure 7d: multi-programmed performance
-// improvements over the M1-M8 mixes.
-func (s *Session) Fig7d() (*Figure, error) {
-	sets, names := s.mixSets()
-	return s.improvementFigure("Fig7d", "Multi-programming performance improvements",
-		multiConfig(s.Cfg), sets, names)
-}
-
-// behaviourFigure builds a Fig 7b/7e-style table: MPKI, PPKM and
-// footprint per workload under DAS-DRAM.
-func (s *Session) behaviourFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title:  title,
-		Header: []string{"workload", "MPKI", "PPKM", "footprint(MB)"},
-	}
-	for i, set := range sets {
-		res, err := s.Cached(cfg, core.DAS, set)
-		if err != nil {
-			return nil, err
+	std = make([]int, len(p.rows))
+	cells = make([][]int, len(p.rows))
+	for r, row := range p.rows {
+		std[r] = -1
+		if p.base {
+			std[r] = slot(row.name+"/Standard", s.Cfg, core.Standard, row.set)
 		}
-		var mpki, ppkm, fp float64
-		for _, c := range res.PerCore {
-			mpki += c.MPKI
-			ppkm += c.PPKM
-			fp += c.FootprintMB
+		for _, c := range p.cols {
+			cells[r] = append(cells[r], slot(row.name+"/"+c.name, c.cfg, c.design, row.set))
 		}
-		n := float64(len(res.PerCore))
-		tbl.AddRow(rowNames[i], fmt.Sprintf("%.1f", mpki/n), fmt.Sprintf("%.1f", ppkm/n),
-			fmt.Sprintf("%.0f", fp))
 	}
-	tbl.Caption = "Measured under DAS-DRAM; MPKI/PPKM are per-core means, footprint is the set total."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	return runs, std, cells
 }
 
-// Fig7b regenerates Figure 7b: single-programmed MPKI / PPKM /
-// footprints.
-func (s *Session) Fig7b() (*Figure, error) {
-	return s.behaviourFigure("Fig7b", "Single-programming MPKI, PPKM and footprints",
-		s.Cfg, s.singleSets(), s.singles())
-}
-
-// Fig7e regenerates Figure 7e: multi-programmed MPKI / PPKM /
-// footprints.
-func (s *Session) Fig7e() (*Figure, error) {
-	sets, names := s.mixSets()
-	return s.behaviourFigure("Fig7e", "Multi-programming MPKI, PPKM and footprints",
-		multiConfig(s.Cfg), sets, names)
-}
-
-// locationFigure builds a Fig 7c/7f-style table: access-location
-// distribution for a static design (SAS) and the dynamic design (DAS).
-func (s *Session) locationFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title: title,
-		Header: []string{"workload",
-			"static rb", "static fast", "static slow",
-			"dynamic rb", "dynamic fast", "dynamic slow"},
-	}
-	for i, set := range sets {
-		sas, err := s.Cached(cfg, core.SAS, set)
-		if err != nil {
-			return nil, err
+// fill runs every simulation p needs through runAll, so figures honour
+// Session.Parallelism, and stores the results by index: renders never
+// depend on completion order. runAll starts runs in plan order and
+// starts none after a failure, so the returned error is always the
+// lowest-index failing run's.
+func (s *Session) fill(p *plan) error {
+	runs, std, cells := s.runs(p)
+	out := make([]*Result, len(runs))
+	jobs := make([]job, len(runs))
+	for i, r := range runs {
+		jobs[i] = func() error {
+			res, err := s.Cached(r.cfg, r.design, r.set)
+			if err != nil {
+				return fmt.Errorf("%s: %w", r.label, err)
+			}
+			out[i] = res
+			return nil
 		}
-		das, err := s.Cached(cfg, core.DAS, set)
-		if err != nil {
-			return nil, err
-		}
-		srb, sf, ss := sas.Access.Fractions()
-		drb, df, ds := das.Access.Fractions()
-		tbl.AddRow(rowNames[i],
-			stats.Percent(srb), stats.Percent(sf), stats.Percent(ss),
-			stats.Percent(drb), stats.Percent(df), stats.Percent(ds))
 	}
-	tbl.Caption = "Share of demand DRAM accesses served by the row buffer, fast level and slow level."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	if err := s.runAll(jobs); err != nil {
+		return err
+	}
+	p.std = make([]*Result, len(p.rows))
+	p.res = make([][]*Result, len(p.rows))
+	for r := range p.rows {
+		if std[r] >= 0 {
+			p.std[r] = out[std[r]]
+		}
+		for _, i := range cells[r] {
+			p.res[r] = append(p.res[r], out[i])
+		}
+	}
+	return nil
 }
 
-// Fig7c regenerates Figure 7c: single-programmed access locations.
-func (s *Session) Fig7c() (*Figure, error) {
-	return s.locationFigure("Fig7c", "Single-programming access locations (static vs dynamic)",
-		s.Cfg, s.singleSets(), s.singles())
+// designs is one column per design at the session config, headed by the
+// design's name as the figures print it (without the space in
+// "DAS-DRAM (FM)").
+func designs(ds ...core.Design) func(*Session) []planCol {
+	return func(s *Session) []planCol {
+		var cols []planCol
+		for _, d := range ds {
+			cols = append(cols, planCol{strings.ReplaceAll(d.String(), " ", ""), s.Cfg, d})
+		}
+		return cols
+	}
 }
 
-// Fig7f regenerates Figure 7f: multi-programmed access locations.
-func (s *Session) Fig7f() (*Figure, error) {
-	sets, names := s.mixSets()
-	return s.locationFigure("Fig7f", "Multi-programming access locations (static vs dynamic)",
-		multiConfig(s.Cfg), sets, names)
+// comparison is Figure 7a/7d's five designs compared with Standard.
+var comparison = designs(core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS)
+
+// sweep is one DAS-DRAM column per value of a knob that set applies to
+// the session config, headed by the value printed with format.
+func sweep[T any](vals []T, format string, set func(*config.Config, T)) func(*Session) []planCol {
+	return func(s *Session) []planCol {
+		var cols []planCol
+		for _, v := range vals {
+			cfg := s.Cfg
+			set(&cfg, v)
+			cols = append(cols, planCol{fmt.Sprintf(format, v), cfg, core.DAS})
+		}
+		return cols
+	}
 }
 
 // FilterThresholds is the Figure 8 sweep.
 var FilterThresholds = []int{1, 2, 4, 8}
 
-// Fig8 regenerates Figure 8: filtering-policy sweep — performance
-// improvement (8a), fast-level miss ratio (8b) and promotions per
-// access (8c) per threshold.
-func (s *Session) Fig8() (*Figure, error) {
-	names := s.singles()
-	perf := &stats.Table{Title: "Fig 8a: performance improvement", Header: []string{"workload"}}
-	miss := &stats.Table{Title: "Fig 8b: fast-level miss ratio", Header: []string{"workload"}}
-	prom := &stats.Table{Title: "Fig 8c: row promotions / memory access", Header: []string{"workload"}}
-	for _, th := range FilterThresholds {
-		col := fmt.Sprintf("thr=%d", th)
-		perf.Header = append(perf.Header, col)
-		miss.Header = append(miss.Header, col)
-		prom.Header = append(prom.Header, col)
+// TagCachePaperKB is the Figure 9a sweep in the paper's full-scale
+// capacities; the harness scales them with simulated memory.
+var TagCachePaperKB = []int{32, 64, 128, 256}
+
+// tagCacheSweep is Figure 9a's columns: TagCachePaperKB scaled to the
+// session's memory (at least 1 KB), headed with both sizes.
+func tagCacheSweep(s *Session) []planCol {
+	var cols []planCol
+	for _, kb := range TagCachePaperKB {
+		cfg := s.Cfg
+		cfg.TagCacheKB = max(1, int(float64(kb)*s.Cfg.MemoryScale()))
+		cols = append(cols, planCol{fmt.Sprintf("%dKB(=%dKB@8GB)", cfg.TagCacheKB, kb), cfg, core.DAS})
 	}
-	ratios := make(map[int][]float64)
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
+	return cols
+}
+
+// GroupSizes is the Figure 9b sweep.
+var GroupSizes = []int{8, 16, 32, 64}
+
+// FastRatios is the Figure 9c/9d sweep (denominators of the fast-level
+// capacity ratio).
+var FastRatios = []int{32, 16, 8, 4}
+
+const improvementCaption = "Performance improvement over Standard (homogeneous) DRAM."
+
+// speedupTable is a row per workload of each column's performance
+// improvement over the baseline, gmean last.
+func speedupTable(id, title string, p *plan) (*stats.Table, error) {
+	tbl := &stats.Table{Title: title, Header: p.header()}
+	ratios := make([][]float64, len(p.cols))
+	for r, row := range p.rows {
+		cells := []string{row.name}
+		for c, res := range p.res[r] {
+			ratio := res.Speedup(p.std[r])
+			ratios[c] = append(ratios[c], ratio)
+			cells = append(cells, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
 		}
-		pRow, mRow, cRow := []string{name}, []string{name}, []string{name}
-		for _, th := range FilterThresholds {
-			cfg := s.Cfg
-			cfg.FilterThreshold = th
-			res, err := s.Cached(cfg, core.DAS, set)
-			if err != nil {
-				return nil, err
-			}
-			ratio := res.Speedup(base)
-			ratios[th] = append(ratios[th], ratio)
-			pRow = append(pRow, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
-			mRow = append(mRow, stats.Percent(res.Access.FastLevelMissRatio()))
-			cRow = append(cRow, stats.Percent(res.PromPerAccess))
-		}
-		perf.AddRow(pRow...)
-		miss.AddRow(mRow...)
-		prom.AddRow(cRow...)
+		tbl.AddRow(cells...)
 	}
 	gm := []string{"gmean"}
-	for _, th := range FilterThresholds {
-		imp, err := stats.GmeanImprovementErr(ratios[th])
+	for c, col := range p.cols {
+		imp, err := stats.GmeanImprovementErr(ratios[c])
 		if err != nil {
-			return nil, fmt.Errorf("Fig8: threshold %d gmean: %w", th, err)
+			return nil, fmt.Errorf("%s: %s gmean: %w", id, col.name, err)
 		}
 		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
 	}
-	perf.AddRow(gm...)
+	tbl.AddRow(gm...)
+	return tbl, nil
+}
+
+// renderSpeedup renders a one-table improvement figure: Figure 7a/7d
+// (each design over Standard) and 9a-9d (DAS-DRAM per sweep point).
+func renderSpeedup(id, title, caption string) func(*Session, *plan) (*Figure, error) {
+	return func(_ *Session, p *plan) (*Figure, error) {
+		tbl, err := speedupTable(id, title, p)
+		if err != nil {
+			return nil, err
+		}
+		tbl.Caption = caption
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// renderBehaviour renders Figure 7b/7e: MPKI, PPKM and footprint per
+// workload under DAS-DRAM.
+func renderBehaviour(id, title string) func(*Session, *plan) (*Figure, error) {
+	return func(_ *Session, p *plan) (*Figure, error) {
+		tbl := &stats.Table{
+			Title:  title,
+			Header: []string{"workload", "MPKI", "PPKM", "footprint(MB)"},
+		}
+		for r, row := range p.rows {
+			res := p.res[r][0]
+			var mpki, ppkm, fp float64
+			for _, c := range res.PerCore {
+				mpki += c.MPKI
+				ppkm += c.PPKM
+				fp += c.FootprintMB
+			}
+			n := float64(len(res.PerCore))
+			tbl.AddRow(row.name, fmt.Sprintf("%.1f", mpki/n), fmt.Sprintf("%.1f", ppkm/n),
+				fmt.Sprintf("%.0f", fp))
+		}
+		tbl.Caption = "Measured under DAS-DRAM; MPKI/PPKM are per-core means, footprint is the set total."
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// renderLocation renders Figure 7c/7f: the access-location distribution
+// of a static design (SAS) and the dynamic design (DAS).
+func renderLocation(id, title string) func(*Session, *plan) (*Figure, error) {
+	return func(_ *Session, p *plan) (*Figure, error) {
+		tbl := &stats.Table{
+			Title: title,
+			Header: []string{"workload",
+				"static rb", "static fast", "static slow",
+				"dynamic rb", "dynamic fast", "dynamic slow"},
+		}
+		for r, row := range p.rows {
+			srb, sf, ss := p.res[r][0].Access.Fractions()
+			drb, df, ds := p.res[r][1].Access.Fractions()
+			tbl.AddRow(row.name,
+				stats.Percent(srb), stats.Percent(sf), stats.Percent(ss),
+				stats.Percent(drb), stats.Percent(df), stats.Percent(ds))
+		}
+		tbl.Caption = "Share of demand DRAM accesses served by the row buffer, fast level and slow level."
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// renderFig8 renders Figure 8, the filtering-policy sweep: performance
+// improvement (8a), fast-level miss ratio (8b) and promotions per access
+// (8c) per threshold.
+func renderFig8(_ *Session, p *plan) (*Figure, error) {
+	perf, err := speedupTable("Fig8", "Fig 8a: performance improvement", p)
+	if err != nil {
+		return nil, err
+	}
+	miss := &stats.Table{Title: "Fig 8b: fast-level miss ratio", Header: perf.Header}
+	prom := &stats.Table{Title: "Fig 8c: row promotions / memory access", Header: perf.Header}
+	for r, row := range p.rows {
+		mRow, cRow := []string{row.name}, []string{row.name}
+		for _, res := range p.res[r] {
+			mRow = append(mRow, stats.Percent(res.Access.FastLevelMissRatio()))
+			cRow = append(cRow, stats.Percent(res.PromPerAccess))
+		}
+		miss.AddRow(mRow...)
+		prom.AddRow(cRow...)
+	}
 	return &Figure{
 		ID:     "Fig8",
 		Title:  "Filtering policies for row promotion",
@@ -364,183 +456,50 @@ func (s *Session) Fig8() (*Figure, error) {
 	}, nil
 }
 
-// sweepFigure runs DAS over single benchmarks for each variant config.
-func (s *Session) sweepFigure(id, title string, variants []config.Config, colNames []string) (*Figure, error) {
-	names := s.singles()
-	tbl := &stats.Table{Title: title, Header: append([]string{"workload"}, colNames...)}
-	ratios := make([][]float64, len(variants))
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for vi, cfg := range variants {
-			res, err := s.Cached(cfg, core.DAS, set)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, colNames[vi], err)
-			}
-			ratio := res.Speedup(base)
-			ratios[vi] = append(ratios[vi], ratio)
-			row = append(row, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
-		}
-		tbl.AddRow(row...)
-	}
-	gm := []string{"gmean"}
-	for vi := range variants {
-		imp, err := stats.GmeanImprovementErr(ratios[vi])
-		if err != nil {
-			return nil, fmt.Errorf("%s: variant %d gmean: %w", id, vi, err)
-		}
-		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
-	}
-	tbl.AddRow(gm...)
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// TagCachePaperKB is the Figure 9a sweep in the paper's full-scale
-// capacities; the harness scales them with simulated memory.
-var TagCachePaperKB = []int{32, 64, 128, 256}
-
-// Fig9a regenerates Figure 9a: translation cache capacity sensitivity.
-func (s *Session) Fig9a() (*Figure, error) {
-	scale := s.Cfg.MemoryScale()
-	var variants []config.Config
-	var cols []string
-	for _, kb := range TagCachePaperKB {
-		cfg := s.Cfg
-		scaled := int(float64(kb) * scale)
-		if scaled < 1 {
-			scaled = 1
-		}
-		cfg.TagCacheKB = scaled
-		variants = append(variants, cfg)
-		cols = append(cols, fmt.Sprintf("%dKB(=%dKB@8GB)", scaled, kb))
-	}
-	return s.sweepFigure("Fig9a", "Translation cache capacities", variants, cols)
-}
-
-// GroupSizes is the Figure 9b sweep.
-var GroupSizes = []int{8, 16, 32, 64}
-
-// Fig9b regenerates Figure 9b: migration group size sensitivity.
-func (s *Session) Fig9b() (*Figure, error) {
-	var variants []config.Config
-	var cols []string
-	for _, g := range GroupSizes {
-		cfg := s.Cfg
-		cfg.GroupSize = g
-		variants = append(variants, cfg)
-		cols = append(cols, fmt.Sprintf("%d-row", g))
-	}
-	return s.sweepFigure("Fig9b", "Migration group sizes", variants, cols)
-}
-
-// FastRatios is the Figure 9c/9d sweep (denominators of the fast-level
-// capacity ratio).
-var FastRatios = []int{32, 16, 8, 4}
-
-// fig9ratio builds Figure 9c (random) or 9d (LRU).
-func (s *Session) fig9ratio(id, repl string) (*Figure, error) {
-	var variants []config.Config
-	var cols []string
-	for _, d := range FastRatios {
-		cfg := s.Cfg
-		cfg.FastDenom = d
-		cfg.Replacement = repl
-		variants = append(variants, cfg)
-		cols = append(cols, fmt.Sprintf("1/%d", d))
-	}
-	title := fmt.Sprintf("Fast-level capacity ratios, %s replacement", repl)
-	return s.sweepFigure(id, title, variants, cols)
-}
-
-// Fig9c regenerates Figure 9c: fast-level ratios with random
-// replacement.
-func (s *Session) Fig9c() (*Figure, error) { return s.fig9ratio("Fig9c", "random") }
-
-// Fig9d regenerates Figure 9d: fast-level ratios with LRU replacement.
-func (s *Session) Fig9d() (*Figure, error) { return s.fig9ratio("Fig9d", "lru") }
-
-// PowerFigure regenerates the Section 7.7 discussion as a table: the
+// renderPower renders the Section 7.7 discussion as a table: the
 // relative DRAM array-energy proxy of each design.
-func (s *Session) PowerFigure() (*Figure, error) {
-	names := s.singles()
+func renderPower(_ *Session, p *plan) (*Figure, error) {
 	tbl := &stats.Table{
 		Title:  "Relative DRAM access-energy proxy (Standard = 1.00)",
-		Header: []string{"workload", "SAS-DRAM", "CHARM", "DAS-DRAM", "FS-DRAM"},
+		Header: p.header(),
 	}
-	designs := []core.Design{core.SAS, core.CHARM, core.DAS, core.FS}
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
+	for r, row := range p.rows {
+		cells := []string{row.name}
+		for _, res := range p.res[r] {
+			cells = append(cells, fmt.Sprintf("%.3f", res.EnergyProxy/p.std[r].EnergyProxy))
 		}
-		row := []string{name}
-		for _, d := range designs {
-			res, err := s.Cached(s.Cfg, d, set)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", res.EnergyProxy/base.EnergyProxy))
-		}
-		tbl.AddRow(row...)
+		tbl.AddRow(cells...)
 	}
 	tbl.Caption = "Energy proxy: slow activate-restore cycle = 1, fast cycle = 0.45, column burst = 0.25, migration = 4 (Section 7.7)."
 	return &Figure{ID: "Power", Title: "Power implications (Section 7.7)", Tables: []*stats.Table{tbl}}, nil
 }
 
-// energyDesigns is every design the energy figure compares, baseline
-// first.
-var energyDesigns = []core.Design{
-	core.Standard, core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS,
-}
-
-// energyDesignCols are the column headers matching energyDesigns.
-var energyDesignCols = []string{
-	"Standard", "SAS-DRAM", "CHARM", "DAS-DRAM", "DAS-DRAM(FM)", "FS-DRAM",
-}
-
-// EnergyFigure renders the perf-per-watt comparison of all six designs
+// renderEnergy renders the perf-per-watt comparison of all six designs
 // under the analytical energy model (internal/energy): instructions per
 // microjoule of DRAM energy, energy-delay product relative to Standard,
 // and a per-command pJ/instruction decomposition. Pure accounting over
 // runs the other figures already share — rendering it never changes any
 // command stream or figure byte.
-func (s *Session) EnergyFigure() (*Figure, error) {
-	names := s.singles()
+func renderEnergy(_ *Session, p *plan) (*Figure, error) {
 	perWatt := &stats.Table{
 		Title:  "Perf/watt: instructions per microjoule of DRAM energy",
-		Header: append([]string{"workload"}, energyDesignCols...),
+		Header: p.header(),
 	}
 	edp := &stats.Table{
 		Title:  "Energy-delay product relative to Standard (lower is better)",
-		Header: append([]string{"workload"}, energyDesignCols...),
+		Header: p.header(),
 	}
-	ipuj := make(map[core.Design][]float64)
-	edps := make(map[core.Design][]float64)
+	ipuj := make([][]float64, len(p.cols))
+	edps := make([][]float64, len(p.cols))
 	// Per-design component accumulation (exact integer pJ) for the
 	// decomposition table.
-	sumE := make(map[core.Design]*energy.Breakdown)
-	sumInstr := make(map[core.Design]uint64)
-	for _, d := range energyDesigns {
-		sumE[d] = &energy.Breakdown{}
-	}
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
+	sumE := make([]energy.Breakdown, len(p.cols))
+	sumInstr := make([]uint64, len(p.cols))
+	for r, row := range p.rows {
+		base := p.std[r]
 		baseEDP := float64(base.Energy.TotalPJ()) * base.SimulatedNS
-		pRow, eRow := []string{name}, []string{name}
-		for _, d := range energyDesigns {
-			res, err := s.Cached(s.Cfg, d, set)
-			if err != nil {
-				return nil, fmt.Errorf("energy: %s/%v: %w", name, d, err)
-			}
+		pRow, eRow := []string{row.name}, []string{row.name}
+		for c, res := range p.res[r] {
 			uj := float64(res.Energy.TotalPJ()) / 1e6
 			perUJ := 0.0
 			if uj > 0 {
@@ -550,26 +509,26 @@ func (s *Session) EnergyFigure() (*Figure, error) {
 			if baseEDP > 0 {
 				rel = float64(res.Energy.TotalPJ()) * res.SimulatedNS / baseEDP
 			}
-			ipuj[d] = append(ipuj[d], perUJ)
-			edps[d] = append(edps[d], rel)
+			ipuj[c] = append(ipuj[c], perUJ)
+			edps[c] = append(edps[c], rel)
 			pRow = append(pRow, fmt.Sprintf("%.0f", perUJ))
 			eRow = append(eRow, fmt.Sprintf("%.3f", rel))
-			accumulateBreakdown(sumE[d], res.Energy)
-			sumInstr[d] += res.InstrsTotal
+			accumulateBreakdown(&sumE[c], res.Energy)
+			sumInstr[c] += res.InstrsTotal
 		}
 		perWatt.AddRow(pRow...)
 		edp.AddRow(eRow...)
 	}
 	pGm, eGm := []string{"gmean"}, []string{"gmean"}
-	for _, d := range energyDesigns {
-		g, err := stats.GmeanErr(ipuj[d])
+	for c, col := range p.cols {
+		g, err := stats.GmeanErr(ipuj[c])
 		if err != nil {
-			return nil, fmt.Errorf("energy: %v instr/uJ gmean: %w", d, err)
+			return nil, fmt.Errorf("energy: %s instr/uJ gmean: %w", col.name, err)
 		}
 		pGm = append(pGm, fmt.Sprintf("%.0f", g))
-		g, err = stats.GmeanErr(edps[d])
+		g, err = stats.GmeanErr(edps[c])
 		if err != nil {
-			return nil, fmt.Errorf("energy: %v EDP gmean: %w", d, err)
+			return nil, fmt.Errorf("energy: %s EDP gmean: %w", col.name, err)
 		}
 		eGm = append(eGm, fmt.Sprintf("%.3f", g))
 	}
@@ -583,15 +542,15 @@ func (s *Session) EnergyFigure() (*Figure, error) {
 		Header: []string{"design", "act", "pre", "rd", "wr",
 			"ref", "mig", "background", "total"},
 	}
-	for i, d := range energyDesigns {
-		b := sumE[d]
+	for c, col := range p.cols {
+		b := sumE[c]
 		per := func(pj int64) string {
-			if sumInstr[d] == 0 {
+			if sumInstr[c] == 0 {
 				return "-"
 			}
-			return fmt.Sprintf("%.1f", float64(pj)/float64(sumInstr[d]))
+			return fmt.Sprintf("%.1f", float64(pj)/float64(sumInstr[c]))
 		}
-		decomp.AddRow(energyDesignCols[i],
+		decomp.AddRow(col.name,
 			per(b.ActSlowPJ+b.ActFastPJ), per(b.PreSlowPJ+b.PreFastPJ),
 			per(b.RdSlowPJ+b.RdFastPJ), per(b.WrSlowPJ+b.WrFastPJ),
 			per(b.RefPJ), per(b.MigPJ), per(b.BackgroundPJ), per(b.TotalPJ()))
@@ -617,6 +576,51 @@ func accumulateBreakdown(dst *energy.Breakdown, b energy.Breakdown) {
 	dst.RefPJ += b.RefPJ
 	dst.MigPJ += b.MigPJ
 	dst.BackgroundPJ += b.BackgroundPJ
+}
+
+// designPlan is a single-design run: design over one benchmark set (one
+// core per benchmark) against its Standard baseline.
+func (s *Session) designPlan(design core.Design, benchmarks []string) *plan {
+	return &plan{
+		rows: []planRow{{wkey(benchmarks), benchmarks}},
+		cols: designs(design)(s),
+		base: true,
+	}
+}
+
+// DesignFigure runs one design over one benchmark set (one core per
+// benchmark) and renders it against the Standard baseline: the smallest
+// servable unit of work, and the request shape dasserve caches most
+// often.
+func (s *Session) DesignFigure(design core.Design, benchmarks []string) (*Figure, error) {
+	if len(benchmarks) == 0 {
+		return nil, fmt.Errorf("exp: design run needs at least one benchmark")
+	}
+	p := s.designPlan(design, benchmarks)
+	if err := s.fill(p); err != nil {
+		return nil, err
+	}
+	base, res := p.std[0], p.res[0][0]
+	tbl := &stats.Table{
+		Title:  fmt.Sprintf("%v over %s", design, wkey(benchmarks)),
+		Header: []string{"core", "benchmark", "IPC", "improvement", "rb", "fast", "slow"},
+	}
+	rb, fast, slow := res.Access.Fractions()
+	for i, c := range res.PerCore {
+		imp := (c.IPC/base.PerCore[i].IPC - 1) * 100
+		loc := []string{"", "", ""}
+		if i == 0 { // access locations are system-wide, print once
+			loc = []string{stats.Percent(rb), stats.Percent(fast), stats.Percent(slow)}
+		}
+		tbl.AddRow(fmt.Sprintf("%d", i), c.Benchmark,
+			fmt.Sprintf("%.3f", c.IPC), fmt.Sprintf("%+.2f%%", imp),
+			loc[0], loc[1], loc[2])
+	}
+	if design != core.Standard {
+		tbl.AddRow("", "mean", "", fmt.Sprintf("%+.2f%%", res.Improvement(base)), "", "", "")
+	}
+	tbl.Caption = "Improvement is per-core IPC versus the Standard baseline of the same benchmarks."
+	return &Figure{ID: "Run", Title: tbl.Title, Tables: []*stats.Table{tbl}}, nil
 }
 
 // Table1 renders the system configuration (Table 1).

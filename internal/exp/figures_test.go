@@ -18,7 +18,7 @@ func figSession() *Session {
 
 func TestFig7aDriver(t *testing.T) {
 	s := figSession()
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestFig7aDriver(t *testing.T) {
 
 func TestFig7bcDriversShareRuns(t *testing.T) {
 	s := figSession()
-	if _, err := s.Fig7a(); err != nil {
+	if _, err := s.Figure("7a"); err != nil {
 		t.Fatal(err)
 	}
 	before := len(s.results)
-	if _, err := s.Fig7b(); err != nil {
+	if _, err := s.Figure("7b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fig7c(); err != nil {
+	if _, err := s.Figure("7c"); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.results) != before {
@@ -51,10 +51,24 @@ func TestFig7bcDriversShareRuns(t *testing.T) {
 	}
 }
 
+// TestUnknownMixRejected pins that a mix override naming no Table 2 mix
+// fails the figure, naming the mix, before any run starts — instead of
+// silently rendering the known rows.
+func TestUnknownMixRejected(t *testing.T) {
+	s := figSession()
+	s.Mixes = []string{"M1", "M9"}
+	if _, err := s.Figure("7e"); err == nil || !strings.Contains(err.Error(), "M9") {
+		t.Fatalf("Figure(7e) with mix M9: err = %v, want one naming M9", err)
+	}
+	if n := s.LiveEvents(); n != 0 {
+		t.Fatalf("rejected figure ran %d events", n)
+	}
+}
+
 func TestFig7dDriver(t *testing.T) {
 	s := figSession()
 	s.Cfg.InstrPerCore = 50_000
-	fig, err := s.Fig7d()
+	fig, err := s.Figure("7d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +80,7 @@ func TestFig7dDriver(t *testing.T) {
 func TestFig8Driver(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"soplex"}
-	fig, err := s.Fig8()
+	fig, err := s.Figure("8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +98,16 @@ func TestFig8Driver(t *testing.T) {
 func TestFig9Drivers(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"libquantum"}
-	for name, f := range map[string]func() (*Figure, error){
-		"9a": s.Fig9a, "9b": s.Fig9b, "9c": s.Fig9c, "9d": s.Fig9d,
-	} {
-		fig, err := f()
+	for _, name := range []string{"9a", "9b", "9c", "9d"} {
+		fig, err := s.Figure(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(fig.Tables[0].Header) != 5 { // workload + 4 sweep points
 			t.Fatalf("%s has %d columns", name, len(fig.Tables[0].Header))
+		}
+		if name == "9a" && !strings.HasSuffix(fig.Tables[0].Header[1], "KB(=32KB@8GB)") {
+			t.Fatalf("9a column header %q does not name the paper's 32KB", fig.Tables[0].Header[1])
 		}
 	}
 }
@@ -100,7 +115,7 @@ func TestFig9Drivers(t *testing.T) {
 func TestPowerFigureDriver(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"libquantum"}
-	fig, err := s.PowerFigure()
+	fig, err := s.Figure("power")
 	if err != nil {
 		t.Fatal(err)
 	}

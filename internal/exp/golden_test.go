@@ -59,7 +59,7 @@ func goldenCompare(t *testing.T, name, got string) {
 func TestGoldenFig7a(t *testing.T) {
 	s := NewSession(tinyConfig())
 	s.Benchmarks = []string{"mcf", "soplex"}
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGoldenFaultSweep(t *testing.T) {
 	cfg.InstrPerCore = 100_000
 	s := NewSession(cfg)
 	s.Benchmarks = []string{"mcf"}
-	fig, err := s.FaultSweep()
+	fig, err := s.Figure("faults")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func observedFig7a(t *testing.T, par int) (fig, timelineCSV, trace string) {
 	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
 	s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
-	f, err := s.Fig7a()
+	f, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 	run := func(s *Session) (csv, trace string) {
 		s.Benchmarks = []string{"mcf"}
 		s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
-		if _, err := s.Fig7a(); err != nil {
+		if _, err := s.Figure("7a"); err != nil {
 			t.Fatal(err)
 		}
 		var csvBuf, traceBuf bytes.Buffer

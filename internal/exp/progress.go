@@ -64,53 +64,38 @@ func (s *System) syncLive(now sim.Time) {
 	}
 }
 
-// InstrHorizon estimates the total instructions a figure will retire:
-// fresh runs per workload set x cores per set x the per-core quota.
-// It is an ETA denominator, not a contract — profiling prepasses and
-// cross-figure run reuse make the true count drift a little — so
-// consumers must treat progress/horizon as advisory. 0 means unknown
-// (or free: the static tables).
-func (s *Session) InstrHorizon(name string) uint64 {
-	quota := s.Cfg.InstrPerCore
-	nSingle := uint64(len(s.singles()))
-	mixSets, _ := s.mixSets()
-	nMix := uint64(len(mixSets))
-	switch name {
-	case "table1", "table2", "area":
-		return 0
-	case "7a", "energy":
-		return nSingle * 6 * quota // baseline + 5 comparison designs
-	case "7b":
-		return nSingle * 1 * quota // DAS only
-	case "7c":
-		return nSingle * 2 * quota // SAS + DAS
-	case "7d":
-		return nMix * 6 * 4 * quota
-	case "7e":
-		return nMix * 1 * 4 * quota
-	case "7f":
-		return nMix * 2 * 4 * quota
-	case "8":
-		return nSingle * (uint64(len(FilterThresholds)) + 1) * quota
-	case "9a", "9b":
-		return nSingle * 5 * quota // 4 sweep points + baseline
-	case "9c", "9d":
-		return nSingle * 4 * quota
-	case "power":
-		return nSingle * 5 * quota // 4 designs + baseline
-	case "faults":
-		return nSingle * 8 * quota
-	default:
-		return 0
+// horizon is the instructions filling p retires on a fresh session: per
+// distinct run, its cores times the per-core quota. A single-program run
+// overshoots its quota by at most one retire bundle (Width); a mix's
+// cores keep running until the slowest reaches its quota, so mix figures
+// retire 10–15% more. Runs the session already memoized retire nothing
+// again, so after other figures the horizon is an upper bound.
+func (s *Session) horizon(p *plan) uint64 {
+	runs, _, _ := s.runs(p)
+	var n uint64
+	for _, r := range runs {
+		n += uint64(len(r.set)) * r.cfg.InstrPerCore
 	}
+	return n
 }
 
-// DesignInstrHorizon estimates the instructions a single-design run
-// (serve's design requests, dasbench -design) will retire.
-func (s *Session) DesignInstrHorizon(design core.Design, benchmarks []string) uint64 {
-	quota := uint64(len(benchmarks)) * s.Cfg.InstrPerCore
-	if design == core.Standard {
-		return quota
+// InstrHorizon is the ETA denominator of a figure: the instructions its
+// plan retires (see horizon). 0 means free (the static tables) or
+// unknown (an unknown figure or mix name).
+func (s *Session) InstrHorizon(name string) uint64 {
+	f := lookup(name)
+	if f == nil || f.cols == nil {
+		return 0
 	}
-	return 2 * quota // baseline + design
+	p, err := f.plan(s)
+	if err != nil {
+		return 0
+	}
+	return s.horizon(p)
+}
+
+// DesignInstrHorizon is the ETA denominator of a single-design run
+// (serve's design requests).
+func (s *Session) DesignInstrHorizon(design core.Design, benchmarks []string) uint64 {
+	return s.horizon(s.designPlan(design, benchmarks))
 }

@@ -39,9 +39,12 @@ func TestLiveProgressTracksRun(t *testing.T) {
 	}
 }
 
-// TestInstrHorizonEstimates sanity-checks the ETA denominators: known
-// figures scale with the session's workload lists and quota; static
-// tables are free; design runs count baseline + design.
+// TestInstrHorizonEstimates pins the ETA denominators: known figures
+// scale with the session's workload lists and quota; static tables are
+// free; design runs count baseline + design. Every figure's horizon is
+// then checked against what rendering it really retires: a single-
+// program run overshoots its quota by at most one retire bundle, a mix
+// only ever retires more (its cores run until the slowest finishes).
 func TestInstrHorizonEstimates(t *testing.T) {
 	cfg := tinyConfig()
 	s := NewSession(cfg)
@@ -66,5 +69,28 @@ func TestInstrHorizonEstimates(t *testing.T) {
 	}
 	if got, want := s.DesignInstrHorizon(core.DAS, []string{"mcf", "lbm"}), 2*2*q; got != want {
 		t.Errorf("DesignInstrHorizon(das) = %d, want %d", got, want)
+	}
+
+	cfg.InstrPerCore = 20_000
+	for _, name := range FigureNames() {
+		s := NewSession(cfg)
+		s.Benchmarks = []string{"mcf"}
+		s.Mixes = []string{"M1"}
+		h := s.InstrHorizon(name)
+		if _, err := s.Figure(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := s.LiveInstrs()
+		switch name {
+		case "7d", "7e", "7f":
+			if got < h {
+				t.Errorf("%s: retired %d < horizon %d", name, got, h)
+			}
+		default:
+			runs := h / cfg.InstrPerCore // one core per run
+			if got < h || got > h+runs*uint64(cfg.Width) {
+				t.Errorf("%s: retired %d, want horizon %d plus at most %d", name, got, h, runs*uint64(cfg.Width))
+			}
+		}
 	}
 }

@@ -366,54 +366,44 @@ func (s *Session) RunVs(cfg config.Config, design core.Design, benchmarks []stri
 // job is one unit of parallel work.
 type job func() error
 
-// runAll executes jobs with bounded parallelism, returning the first
-// error.
+// runAll executes jobs with bounded parallelism. Jobs start in index
+// order and none starts after a failure (or once the session context is
+// cancelled), so every job before the first failing one has run: the
+// returned error is the lowest-index failure's, whatever the host
+// scheduling.
 func (s *Session) runAll(jobs []job) error {
-	par := s.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	errc := make(chan error, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for range min(max(s.Parallelism, 1), len(jobs)) {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Cancellation check at the job boundary: once the session
-			// context dies, queued jobs fail fast instead of starting
-			// fresh runs (in-flight runs notice via RunContext).
-			if err := s.context().Err(); err != nil {
-				errc <- err
-				return
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				// Cancellation check at the job boundary: once the session
+				// context dies, no fresh run starts (in-flight runs notice
+				// via RunContext).
+				err := s.context().Err()
+				if err == nil {
+					err = jobs[i]()
+				}
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+				}
 			}
-			if err := j(); err != nil {
-				errc <- err
-			}
-		}(j)
+		}()
 	}
 	wg.Wait()
-	close(errc)
-	for err := range errc {
+	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("exp: %w", err)
 		}
 	}
 	return nil
-}
-
-// Prewarm computes the baselines for all benchmark sets in parallel so
-// subsequent figure runs parallelize fully.
-func (s *Session) Prewarm(sets [][]string) error {
-	jobs := make([]job, 0, len(sets))
-	for _, set := range sets {
-		set := set
-		jobs = append(jobs, func() error {
-			_, err := s.Baseline(set)
-			return err
-		})
-	}
-	return s.runAll(jobs)
 }

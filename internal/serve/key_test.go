@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -131,4 +135,54 @@ func TestCanonicalizeRejects(t *testing.T) {
 			t.Fatalf("Canonicalize(%+v) error %q does not mention %q", c.req, err, c.want)
 		}
 	}
+}
+
+// FuzzCanonicalize drives the service boundary with arbitrary request
+// bodies. Canonicalize must never panic; an accepted request rebuilt
+// from its Job (the figure or design name, the normalized lists and the
+// canonical config JSON) must canonicalize to the same Key and Hash; a
+// rejected one must come back from /run as a JSON 400, never run.
+func FuzzCanonicalize(f *testing.F) {
+	for _, body := range badRequestBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"figure": " 7D ", "mixes": ["M1"], "config": {"seed": 3}}`))
+	f.Add([]byte(`{"design": "dasfm", "benchmarks": ["mcf", "mcf"]}`))
+	base := tinyConfig()
+	srv := New(Options{Base: base, Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+		return nil, fmt.Errorf("rejected request %s was admitted", spec.Key)
+	}})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req Request
+		if json.Unmarshal(body, &req) != nil {
+			return // the handler's own 400, before Canonicalize
+		}
+		j, err := Canonicalize(req, base)
+		if err != nil {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(string(body))))
+			var e Error
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Kind != KindBadRequest {
+				t.Fatalf("rejected %q (%v): HTTP %d %s, want a JSON 400", body, err, rec.Code, rec.Body)
+			}
+			return
+		}
+		cfg, err := json.Marshal(j.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := Request{Figure: j.Figure, Benchmarks: j.Benchmarks, Mixes: j.Mixes, Config: cfg}
+		if j.HasDesign {
+			again.Design = j.Design.String()
+		}
+		k, err := Canonicalize(again, base)
+		if err != nil {
+			t.Fatalf("%q accepted as %s, but its rebuilt request is rejected: %v", body, j.Key, err)
+		}
+		if k.Key != j.Key || k.Hash != j.Hash {
+			t.Fatalf("%q is no fixed point:\n  %s\nvs\n  %s", body, j.Key, k.Key)
+		}
+	})
 }

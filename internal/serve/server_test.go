@@ -381,6 +381,27 @@ func TestJobTimeout(t *testing.T) {
 }
 
 // TestBadRequests: every malformed request is a structured 400.
+// badRequestBodies are /run bodies the server must answer with 400
+// before admission; FuzzCanonicalize seeds its corpus with them.
+var badRequestBodies = []string{
+	`{]`,
+	`{}`,
+	`{"figure": "nope"}`,
+	`{"figure": "7a", "design": "das"}`,
+	`{"design": "das"}`,
+	`{"figure": "7a", "config": {"rows_per_bank": -4}}`,
+	`{"figure": "7a", "config": {"cpu_ghz": 0}}`,
+	// Rejected by the component validators, which once ran only
+	// inside Build, after the job was keyed and queued.
+	`{"figure": "7a", "config": {"group_size": 7}}`,
+	`{"design": "das", "benchmarks": ["mcf"], "config": {"rob": 0}}`,
+	// Duplicate names would be admitted up to the body limit, and a
+	// design run's mixes are ignored yet would enter the key.
+	`{"figure": "7a", "benchmarks": ["mcf", " mcf"]}`,
+	`{"figure": "7d", "mixes": ["M1", "M2", "M1"]}`,
+	`{"design": "das", "benchmarks": ["mcf"], "mixes": ["M1"]}`,
+}
+
 func TestBadRequests(t *testing.T) {
 	var ran atomic.Int32
 	_, ts := newTestServer(t, Options{
@@ -390,24 +411,7 @@ func TestBadRequests(t *testing.T) {
 			return []byte("ok"), nil
 		},
 	})
-	for _, body := range []string{
-		`{]`,
-		`{}`,
-		`{"figure": "nope"}`,
-		`{"figure": "7a", "design": "das"}`,
-		`{"design": "das"}`,
-		`{"figure": "7a", "config": {"rows_per_bank": -4}}`,
-		`{"figure": "7a", "config": {"cpu_ghz": 0}}`,
-		// Rejected by the component validators, which once ran only
-		// inside Build, after the job was keyed and queued.
-		`{"figure": "7a", "config": {"group_size": 7}}`,
-		`{"design": "das", "benchmarks": ["mcf"], "config": {"rob": 0}}`,
-		// Duplicate names would be admitted up to the body limit, and a
-		// design run's mixes are ignored yet would enter the key.
-		`{"figure": "7a", "benchmarks": ["mcf", " mcf"]}`,
-		`{"figure": "7d", "mixes": ["M1", "M2", "M1"]}`,
-		`{"design": "das", "benchmarks": ["mcf"], "mixes": ["M1"]}`,
-	} {
+	for _, body := range badRequestBodies {
 		resp, data := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: HTTP %d, want 400", body, resp.StatusCode)

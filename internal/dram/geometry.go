@@ -123,6 +123,22 @@ func (g Geometry) RowID(c Coord) uint64 {
 	return uint64(g.BankID(c))*uint64(g.Rows) + uint64(c.Row)
 }
 
+// AddrRowID maps a physical byte address straight to its global row
+// index: the same bits as RowID(Decode(addr)), without building a
+// Coord. With every dimension a power of two, the row index is the
+// address's channel, rank, bank and row fields repacked in that order.
+func (g Geometry) AddrRowID(addr uint64) uint64 {
+	lc, lk, lb := log2(g.Channels), log2(g.Ranks), log2(g.Banks)
+	a := addr >> (log2(g.BlockSize) + log2(g.Columns))
+	ch := a & uint64(g.Channels-1)
+	a >>= lc
+	bank := a & uint64(g.Banks-1)
+	a >>= lb
+	rank := a & uint64(g.Ranks-1)
+	row := a >> lk & uint64(g.Rows-1)
+	return ((ch<<lk|rank)<<lb|bank)<<log2(g.Rows) | row
+}
+
 // RowCoord reconstructs the coordinate of a global row index (column 0).
 func (g Geometry) RowCoord(rowID uint64) Coord {
 	row := int(rowID % uint64(g.Rows))

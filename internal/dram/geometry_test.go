@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,32 @@ func TestRowIDRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAddrRowIDMatchesDecode(t *testing.T) {
+	scaled := Default8GB()
+	scaled.Rows = 4096
+	for _, tc := range []struct {
+		name string
+		g    Geometry
+	}{
+		{"default8GB", Default8GB()},
+		{"scaled", scaled},
+		{"1ch1rank", Geometry{Channels: 1, Ranks: 1, Banks: 8, Rows: 1024, Columns: 64, BlockSize: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewPCG(1, 2))
+			for i := 0; i < 10000; i++ {
+				addr := r.Uint64()
+				if i%2 == 0 {
+					addr %= tc.g.Capacity() // in range, as the generators emit
+				}
+				if got, want := tc.g.AddrRowID(addr), tc.g.RowID(tc.g.Decode(addr)); got != want {
+					t.Fatalf("AddrRowID(%#x) = %d, RowID(Decode) = %d", addr, got, want)
+				}
+			}
+		})
 	}
 }
 

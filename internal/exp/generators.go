@@ -108,7 +108,7 @@ func profilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, erro
 		for k := uint64(0); k < n; k++ {
 			gen.Next(&in)
 			if in.Mem {
-				prof.Record(geom.RowID(geom.Decode(in.Addr)))
+				prof.Record(geom.AddrRowID(in.Addr))
 			}
 		}
 	}

@@ -62,9 +62,6 @@ func (e *entry) before(o *entry) bool {
 	return e.seq < o.seq
 }
 
-// fire invokes the callback.
-func (e *entry) fire() { e.cfn(e.a, e.b) }
-
 // callClosure is the trampoline behind Schedule/ScheduleAt. A func
 // value is pointer-shaped, so storing it in an any allocates nothing.
 func callClosure(a, _ any) { a.(func())() }
@@ -167,7 +164,7 @@ func (e *Engine) ScheduleCallAt(at Time, fn func(a, b any), a, b any) {
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	e.q.push(entry{at: at, seq: e.allocSeq(), cfn: fn, a: a, b: b})
+	e.q.push(at, e.allocSeq(), fn, a, b)
 }
 
 // Step fires the single earliest pending event and reports whether one
@@ -176,10 +173,10 @@ func (e *Engine) Step() bool {
 	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.at
+	at, fn, a, b := e.q.pop()
+	e.now = at
 	e.executed++
-	ev.fire()
+	fn(a, b)
 	return true
 }
 

@@ -47,7 +47,8 @@ func (m *refModel) step() (int, bool) {
 // FuzzScheduleOrder drives the engine and the reference model with the
 // same operation stream decoded from fuzz input and demands identical
 // firing order, clock, and queue occupancy at every point. Both
-// scheduling paths (closure and trampoline) are exercised; events fired
+// scheduling paths (closure and trampoline) are exercised, at delays
+// both inside the timing wheel's window and far past it; events fired
 // by the engine record their ids so the comparison covers the actual
 // callback dispatch, not just the queue bookkeeping.
 func FuzzScheduleOrder(f *testing.F) {
@@ -55,6 +56,14 @@ func FuzzScheduleOrder(f *testing.F) {
 	f.Add([]byte{0, 200, 0, 100, 0, 150, 3, 180, 3, 255})   // RunUntil boundaries
 	f.Add([]byte{1, 10, 0, 10, 4, 0, 0, 3, 2, 0, 2, 0})     // drain then refill
 	f.Add([]byte{0, 1, 2, 0, 0, 1, 2, 0, 0, 1, 2, 0, 5, 0}) // churn then run out
+	f.Add([]byte{1, 63, 1, 40, 1, 10, 1, 40, 1, 0, 5, 0})   // one bucket, out-of-order instants
+	// Far delays (op 6, in ns) mixed with near ones: overflow-heap
+	// entries interleaved with wheel entries, a far pop sliding the
+	// window, then near pushes reusing the vacated slab slots and a
+	// push near the window's far edge.
+	f.Add([]byte{6, 100, 0, 10, 6, 66, 1, 0, 2, 0, 2, 0, 6, 0, 2, 0, 5, 0})
+	f.Add([]byte{6, 200, 2, 0, 0, 3, 0, 3, 1, 3, 6, 64, 2, 0, 2, 0, 0, 1, 6, 65, 5, 0})
+	f.Add([]byte{6, 255, 6, 1, 6, 70, 3, 255, 6, 30, 0, 7, 2, 0, 6, 255, 2, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine()
 		ref := &refModel{}
@@ -79,7 +88,7 @@ func FuzzScheduleOrder(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%6, Time(data[i+1])
+			op, arg := data[i]%7, Time(data[i+1])
 			switch op {
 			case 0: // Schedule (closure path), relative delay
 				id := nextID
@@ -112,6 +121,12 @@ func FuzzScheduleOrder(f *testing.F) {
 					}
 					expected = append(expected, id)
 				}
+			case 6: // ScheduleCall (trampoline path), relative delay of
+				// 0-255 ns, straddling the wheel's 65.5 ns window
+				id := nextID
+				nextID++
+				eng.ScheduleCall(arg*Nanosecond, record, id, nil)
+				ref.schedule(eng.Now()+arg*Nanosecond, id)
 			}
 			if eng.Now() != ref.now && op != 4 && len(expected) > 0 {
 				// The engine clock advances to each fired event; the models

@@ -15,10 +15,9 @@ import (
 // a few cycles out, DRAM commands and completions within tens of
 // nanoseconds — while only rare events (refresh deadlines, idle-channel
 // wakes, the watchdog) live further ahead. A comparison-based heap pays
-// O(log n) dependent 56-byte entry moves on every operation; the wheel
-// turns push into an append plus a bit-set and pop into a two-level
-// bitmap probe plus a short bucket scan, both O(1) for the dominant
-// traffic.
+// O(log n) dependent entry moves on every operation; the wheel turns
+// push into a slot write plus a bit-set and pop into a two-level bitmap
+// probe plus an unlink, both O(1) for the dominant traffic.
 //
 // Layout: wheelBuckets buckets of wheelTick = 1<<wheelShift picoseconds
 // each cover a sliding window of wheelBuckets<<wheelShift (= 65.5 ns)
@@ -33,10 +32,16 @@ import (
 // preserves the total order even when the window has slid past an
 // overflow entry's timestamp.
 //
-// Within a bucket entries are unsorted (removal is swap-with-last) and
-// the minimum is found by a linear scan: one wheelTick is finer than
-// any clock period in the system, so chained ticks land in distinct
-// buckets and buckets stay near-singleton.
+// Wheel entries live in one slab of nodes shared by every bucket, with
+// vacated slots threaded on a free list, so the slab is sized by the
+// peak number of pending wheel events rather than by each bucket's
+// deepest pile-up. A bucket is a singly linked list of slab slots kept
+// in (at, seq) order, so pop unlinks the head with no scan. Buckets are
+// often shared (the simulator's tickers and lookups pile up on the same
+// instants), but a new entry nearly always fires no earlier than the
+// bucket's tail — it has the largest seq, and usually the same or a
+// later instant — so push appends at the tail and walks the list only
+// in the rare out-of-order case.
 //
 // The firing order is the total order (at, seq) regardless of storage,
 // so this queue is byte-for-byte interchangeable with the
@@ -60,13 +65,24 @@ const (
 	wheelWords   = wheelBuckets / 64
 )
 
+// node is one slab slot: a wheel entry and the link to the next slot of
+// its bucket (or, for a vacated slot, of the free list). Slot 0 is never
+// used, so 0 is the nil link and a zeroed wheel has every bucket empty.
+type node struct {
+	entry
+	next int32
+}
+
 // wheel is the bucketed storage, pooled as a unit across engines so a
-// released engine's bucket arrays (the only steady-state allocation of
-// the wheel) are recycled by the next NewEngine.
+// released engine's slab (the only steady-state allocation of the
+// wheel) is recycled by the next NewEngine.
 type wheel struct {
 	summary uint16 // bit w set iff occ[w] != 0
 	occ     [wheelWords]uint64
-	buckets [wheelBuckets][]entry
+	head    [wheelBuckets]int32 // first slot of each bucket; 0 = empty
+	tail    [wheelBuckets]int32 // last slot of each non-empty bucket
+	free    int32               // first vacated slot; 0 = none
+	slab    []node              // grown on the first push, never in NewEngine
 }
 
 var wheelPool = sync.Pool{New: func() any { return new(wheel) }}
@@ -91,60 +107,53 @@ func (q *eventQueue) attachPooled() {
 
 func (q *eventQueue) len() int { return q.nw + len(q.es) }
 
-// findWheelMin locates the earliest wheel entry, returning its bucket
-// and index within the bucket; ok is false when the wheel is empty.
-// Buckets are probed in circular order starting at base's slot: the
-// sliding window [base, base+wheelBuckets) maps injectively onto the
-// ring, so the first occupied bucket in that order holds the globally
-// earliest timestamps, and a scan of it yields the (at, seq) minimum.
-func (q *eventQueue) findWheelMin() (bkt, idx int, ok bool) {
+// findWheelMin locates the bucket holding the earliest wheel entry (its
+// head); ok is false when the wheel is empty. Buckets are probed in
+// circular order starting at base's slot: the sliding window
+// [base, base+wheelBuckets) maps injectively onto the ring, so the
+// first occupied bucket in that order holds the globally earliest
+// timestamps.
+func (q *eventQueue) findWheelMin() (bkt int, ok bool) {
 	if q.nw == 0 {
-		return 0, 0, false
+		return 0, false
 	}
 	w := q.w
 	start := int(q.base) & wheelMask
 	w0, b0 := start>>6, start&63
 	if m := w.occ[w0] >> b0 << b0; m != 0 {
 		// An occupied bucket in the start word at or after the start slot.
-		bkt = w0<<6 + bits.TrailingZeros64(m)
-	} else {
-		// Rotate the summary so word w0+1 lands at bit 0; the first set
-		// bit then names the next occupied word in circular order
-		// (including w0 itself again, last, for its pre-start slots).
-		rot := bits.RotateLeft16(w.summary, -(w0 + 1))
-		wd := (w0 + 1 + bits.TrailingZeros16(rot)) & (wheelWords - 1)
-		m := w.occ[wd]
-		if wd == w0 {
-			m &= 1<<b0 - 1 // only the slots before start remain
-		}
-		bkt = wd<<6 + bits.TrailingZeros64(m)
+		return w0<<6 + bits.TrailingZeros64(m), true
 	}
-	b := w.buckets[bkt]
-	idx = 0
-	for i := 1; i < len(b); i++ {
-		if b[i].before(&b[idx]) {
-			idx = i
-		}
+	// Rotate the summary so word w0+1 lands at bit 0; the first set
+	// bit then names the next occupied word in circular order
+	// (including w0 itself again, last, for its pre-start slots).
+	rot := bits.RotateLeft16(w.summary, -(w0 + 1))
+	wd := (w0 + 1 + bits.TrailingZeros16(rot)) & (wheelWords - 1)
+	m := w.occ[wd]
+	if wd == w0 {
+		m &= 1<<b0 - 1 // only the slots before start remain
 	}
-	return bkt, idx, true
+	return wd<<6 + bits.TrailingZeros64(m), true
 }
 
 // minAt returns the timestamp of the earliest entry (queue must be
 // non-empty).
 func (q *eventQueue) minAt() Time {
-	bkt, idx, ok := q.findWheelMin()
+	bkt, ok := q.findWheelMin()
 	if !ok {
 		return q.es[0].at
 	}
-	at := q.w.buckets[bkt][idx].at
+	at := q.w.slab[q.w.head[bkt]].at
 	if len(q.es) > 0 && q.es[0].at < at {
 		return q.es[0].at
 	}
 	return at
 }
 
-// push inserts e: into its wheel bucket when at falls inside the
-// sliding window, else into the overflow heap.
+// push inserts an entry: into a slab slot on its wheel bucket's list
+// when at falls inside the sliding window, else into the overflow heap.
+// seq must exceed every live entry's, which the engine's counter
+// guarantees; that is what lets an entry at the tail's instant append.
 //
 // base moves only at pops, never here. Re-anchoring the window at a
 // push onto an empty queue looks attractive (a cold start far from t=0
@@ -160,20 +169,52 @@ func (q *eventQueue) minAt() Time {
 // Without re-anchoring, a far push on an empty queue simply takes the
 // overflow heap, and the pop that retires it re-anchors base; only the
 // handful of pushes before that pop pay the heap path.
-func (q *eventQueue) push(e entry) {
-	ab := uint64(e.at) >> wheelShift
+func (q *eventQueue) push(at Time, seq uint64, fn func(a, b any), a, b any) {
+	ab := uint64(at) >> wheelShift
 	if ab-q.base >= wheelBuckets {
-		q.heapPush(e)
+		q.heapPush(entry{at: at, seq: seq, cfn: fn, a: a, b: b})
 		return
 	}
 	if q.w == nil {
 		q.w = wheelPool.Get().(*wheel)
 	}
+	w := q.w
+	s := w.free
+	if s != 0 {
+		w.free = w.slab[s].next
+	} else {
+		if len(w.slab) == 0 {
+			w.slab = append(w.slab, node{}) // slot 0: the nil link
+		}
+		s = int32(len(w.slab))
+		w.slab = append(w.slab, node{})
+	}
+	n := &w.slab[s]
+	n.at, n.seq, n.cfn, n.a, n.b, n.next = at, seq, fn, a, b, 0
+
 	i := ab & wheelMask
-	q.w.buckets[i] = append(q.w.buckets[i], e)
-	q.w.occ[i>>6] |= 1 << (i & 63)
-	q.w.summary |= 1 << (i >> 6)
 	q.nw++
+	h := w.head[i]
+	switch {
+	case h == 0:
+		w.head[i], w.tail[i] = s, s
+		w.occ[i>>6] |= 1 << (i & 63)
+		w.summary |= 1 << (i >> 6)
+	case w.slab[w.tail[i]].at <= at:
+		w.slab[w.tail[i]].next = s
+		w.tail[i] = s
+	case w.slab[h].at > at:
+		n.next = h
+		w.head[i] = s
+	default:
+		// head.at <= at < tail.at: the walk stops before the tail.
+		p := h
+		for w.slab[w.slab[p].next].at <= at {
+			p = w.slab[p].next
+		}
+		n.next = w.slab[p].next
+		w.slab[p].next = s
+	}
 }
 
 // heapPush inserts e into the overflow heap, sifting it up through its
@@ -193,36 +234,37 @@ func (q *eventQueue) heapPush(e entry) {
 	es[i] = e
 }
 
-// pop removes and returns the earliest entry across wheel and overflow.
-func (q *eventQueue) pop() entry {
-	bkt, idx, ok := q.findWheelMin()
-	if ok {
+// pop removes the earliest entry across wheel and overflow and returns
+// its timestamp, callback and bound arguments.
+func (q *eventQueue) pop() (Time, func(a, b any), any, any) {
+	if bkt, ok := q.findWheelMin(); ok {
 		w := q.w
-		b := w.buckets[bkt]
-		e := b[idx]
-		if len(q.es) == 0 || e.before(&q.es[0]) {
-			n := len(b) - 1
-			b[idx] = b[n]
-			b[n] = entry{} // drop callback/arg references for GC
-			w.buckets[bkt] = b[:n]
-			if n == 0 {
+		s := w.head[bkt]
+		n := &w.slab[s]
+		if len(q.es) == 0 || n.before(&q.es[0]) {
+			at, fn, a, b := n.at, n.cfn, n.a, n.b
+			if w.head[bkt] = n.next; n.next == 0 {
 				w.occ[bkt>>6] &^= 1 << (bkt & 63)
 				if w.occ[bkt>>6] == 0 {
 					w.summary &^= 1 << (bkt >> 6)
 				}
 			}
+			n.cfn, n.a, n.b = nil, nil, nil // drop callback/arg references for GC
+			n.next, w.free = w.free, s
 			q.nw--
-			q.base = uint64(e.at) >> wheelShift
-			return e
+			q.base = uint64(at) >> wheelShift
+			return at, fn, a, b
 		}
 	}
 	return q.heapPop()
 }
 
-// heapPop removes and returns the overflow heap's top.
-func (q *eventQueue) heapPop() entry {
+// heapPop removes the overflow heap's top and returns its timestamp,
+// callback and bound arguments.
+func (q *eventQueue) heapPop() (Time, func(a, b any), any, any) {
 	es := q.es
-	top := es[0]
+	top := &es[0]
+	at, fn, a, b := top.at, top.cfn, top.a, top.b
 	n := len(es) - 1
 	last := es[n]
 	es[n] = entry{} // drop callback/arg references for GC
@@ -230,8 +272,8 @@ func (q *eventQueue) heapPop() entry {
 	if n > 0 {
 		q.siftDown(last)
 	}
-	q.base = uint64(top.at) >> wheelShift
-	return top
+	q.base = uint64(at) >> wheelShift
+	return at, fn, a, b
 }
 
 // siftDown re-inserts e starting from the root hole: the smallest child
@@ -265,26 +307,25 @@ func (q *eventQueue) siftDown(e entry) {
 	es[i] = e
 }
 
-// clearWheel empties every bucket (keeping capacity) and the bitmaps.
+// clearWheel empties every bucket and the bitmaps, zeroing the used
+// part of the slab (keeping its capacity).
 func (q *eventQueue) clearWheel() {
 	if q.w == nil {
 		return
 	}
 	w := q.w
-	// Only occupied words need their buckets cleared; a released wheel
-	// always comes back fully zeroed.
+	// Only occupied words have non-empty heads; a released wheel always
+	// comes back with every head zero.
 	for wd := 0; wd < wheelWords; wd++ {
-		if w.occ[wd] == 0 {
-			continue
+		if w.occ[wd] != 0 {
+			clear(w.head[wd<<6 : wd<<6+64])
+			w.occ[wd] = 0
 		}
-		for i := wd << 6; i < wd<<6+64; i++ {
-			b := w.buckets[i]
-			clear(b)
-			w.buckets[i] = b[:0]
-		}
-		w.occ[wd] = 0
 	}
 	w.summary = 0
+	clear(w.slab)
+	w.slab = w.slab[:0]
+	w.free = 0
 	q.nw = 0
 }
 

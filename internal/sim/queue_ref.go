@@ -40,14 +40,13 @@ func (q *eventQueue) len() int { return len(q.h) }
 
 func (q *eventQueue) minAt() Time { return q.h[0].at }
 
-func (q *eventQueue) push(e entry) {
-	n := new(entry)
-	*n = e
-	heap.Push(&q.h, n)
+func (q *eventQueue) push(at Time, seq uint64, fn func(a, b any), a, b any) {
+	heap.Push(&q.h, &entry{at: at, seq: seq, cfn: fn, a: a, b: b})
 }
 
-func (q *eventQueue) pop() entry {
-	return *(heap.Pop(&q.h).(*entry))
+func (q *eventQueue) pop() (Time, func(a, b any), any, any) {
+	e := heap.Pop(&q.h).(*entry)
+	return e.at, e.cfn, e.a, e.b
 }
 
 func (q *eventQueue) reset() { q.h = q.h[:0] }

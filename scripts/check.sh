@@ -138,8 +138,13 @@ echo "== benchmark module (perfbench: vet + self-tests)"
 # the benchmark would otherwise fail no gate.
 (cd perfbench && go vet . && go test .)
 
-echo "== fuzz smoke (10s per target)"
+echo "== fuzz smoke (10s per target; 5s for the reference-heap engine)"
+# FuzzScheduleOrder runs against both queue builds: its far-delay op
+# drives the wheel's overflow heap, window slide and slab slot reuse,
+# and the container/heap reference must fire the same streams in the
+# same order.
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
+go test -tags sim_refheap -run '^$' -fuzz FuzzScheduleOrder -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
 go test -run '^$' -fuzz FuzzTagCache -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzCanonicalize -fuzztime 10s ./internal/serve

@@ -36,7 +36,7 @@ func (e *InvariantError) Error() string {
 //     the identity).
 func (m *Manager) checkGroup(g uint64, grp *group) error {
 	size := m.layout.GroupSize()
-	seen := make([]bool, size)
+	var seen [256]bool // ValidateLayout caps group size at 256
 	for l := 0; l < size; l++ {
 		p := int(grp.perm[l])
 		if p >= size {

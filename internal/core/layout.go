@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/sim"
@@ -116,7 +117,7 @@ type group struct {
 	fenced, fencedKnown bool
 	// pinned marks logical slots whose migrations exhausted their
 	// retries; a pinned row stays in the slow level permanently.
-	// Allocated on first pin.
+	// Empty until the first pin.
 	pinned []bool
 	// retries counts failed attempts of the in-flight migration.
 	retries int
@@ -124,45 +125,27 @@ type group struct {
 
 // pin marks logical slot l as permanently slow.
 func (g *group) pin(l int) {
-	if g.pinned == nil {
-		g.pinned = make([]bool, len(g.perm))
+	if len(g.pinned) == 0 {
+		g.pinned = slices.Grow(g.pinned, len(g.perm))[:len(g.perm)]
+		clear(g.pinned)
 	}
 	g.pinned[l] = true
 }
 
 // isPinned reports whether logical slot l is pinned slow.
-func (g *group) isPinned(l int) bool { return g.pinned != nil && g.pinned[l] }
+func (g *group) isPinned(l int) bool { return len(g.pinned) > 0 && g.pinned[l] }
 
-func newGroup(size, fastSlots int) *group {
-	g := &group{
-		perm:    make([]uint8, size),
-		inv:     make([]uint8, size),
-		lastUse: make([]sim.Time, fastSlots),
-	}
-	for i := 0; i < size; i++ {
-		g.perm[i] = uint8(i)
-		g.inv[i] = uint8(i)
-	}
-	return g
-}
-
-// reset restores the identity permutation and clears all replacement
-// and degradation state, making the group indistinguishable from a
-// newGroup of the same shape (the Manager's reset freelist reuses
-// groups this way).
-func (g *group) reset() {
+// init puts g in a new group's state for the given shape: the identity
+// permutation and no replacement or degradation state. perm, inv and
+// lastUse must already have the capacity; every slice keeps its backing
+// array.
+func (g *group) init(size, fastSlots int) {
+	*g = group{perm: g.perm[:size], inv: g.inv[:size], lastUse: g.lastUse[:fastSlots], pinned: g.pinned[:0]}
 	for i := range g.perm {
 		g.perm[i] = uint8(i)
 		g.inv[i] = uint8(i)
 	}
-	for i := range g.lastUse {
-		g.lastUse[i] = 0
-	}
-	g.seq = 0
-	g.migrating = false
-	g.fenced, g.fencedKnown = false, false
-	g.pinned = nil
-	g.retries = 0
+	clear(g.lastUse)
 }
 
 // swap exchanges the physical slots of logical rows a and b.

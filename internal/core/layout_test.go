@@ -197,3 +197,10 @@ func TestParseReplacement(t *testing.T) {
 		t.Fatal("bogus policy accepted")
 	}
 }
+
+// newGroup builds a standalone group of the given shape.
+func newGroup(size, fastSlots int) *group {
+	g := &group{perm: make([]uint8, size), inv: make([]uint8, size), lastUse: make([]sim.Time, fastSlots)}
+	g.init(size, fastSlots)
+	return g
+}

@@ -77,19 +77,23 @@ type Manager struct {
 	picker   victimPicker
 
 	// freeGroups recycles group translation state across pooled-machine
-	// resets: groups allocate lazily on first touch, dominate the
-	// manager's steady-state allocation, and are shape-compatible
-	// whenever GroupSize and FastDenom carry over (Reset drops the list
-	// otherwise).
-	freeGroups []*group
+	// resets: groups allocate lazily on first touch and Reset returns
+	// every one of them here, whatever the next run's shape (takeGroup
+	// re-initializes a group when it hands it out). arena is where group
+	// state is carved from when no recycled group is large enough.
+	freeGroups freelist[group]
+	arena      groupArena
 
-	// reqFree recycles controller-request slots (see ctlReq); slots come
-	// back through mc.Request.Release. It survives Reset: slots are
+	// Slot freelists (see slots.go): controller requests, table fetches,
+	// posted table writes and promotions. They survive Reset — slots are
 	// shape-independent, and reusing them is what makes a pooled
-	// machine's steady-state accesses allocation-free. Requests still
-	// queued when a run ends are dropped by Controller.Reset and simply
-	// fall out of circulation.
-	reqFree []*ctlReq
+	// machine's steady-state management path allocation-free. Slots
+	// still in flight when a run ends are dropped with the engine's and
+	// controller's queues and simply fall out of circulation.
+	reqFree   freelist[ctlReq]
+	fetchFree freelist[tableFetch]
+	writeFree freelist[tableWrite]
+	promoFree freelist[promotion]
 
 	static  *StaticAssignment
 	profile *RowProfile
@@ -97,17 +101,14 @@ type Manager struct {
 	tableBase  uint64
 	tableBytes uint64
 
-	// pendingTag maps a table block index to data requests waiting on
-	// its fetch.
-	pendingTag map[uint64][]*mem.Request
+	// pendingTag maps a table block index to its in-flight fetch, which
+	// holds the data requests waiting on it.
+	pendingTag map[uint64]*tableFetch
 
 	// faults, when non-nil, injects device faults into the management
 	// path; checkInv enables the per-swap invariant checker.
 	faults   *fault.Injector
 	checkInv bool
-	// tableRetries counts consecutive corrupt fetches per in-flight
-	// table block (allocated lazily, entries removed on acceptance).
-	tableRetries map[uint64]int
 	// consecAbandoned counts migrations abandoned (row pinned) since the
 	// last successful commit; migBreaker latches once it reaches
 	// migBreakerThreshold, disabling promotion device-wide so a broken
@@ -163,7 +164,7 @@ func NewManager(cfg Config, eng *sim.Engine, ctl *mc.Controller, cores int) (*Ma
 		m.filter = f
 		m.groups = make(map[uint64]*group)
 		m.picker = victimPicker{policy: cfg.Replacement, rng: sim.NewRNG(cfg.Seed)}
-		m.pendingTag = make(map[uint64][]*mem.Request)
+		m.pendingTag = make(map[uint64]*tableFetch)
 	}
 	return m, nil
 }
@@ -190,12 +191,7 @@ func (m *Manager) CheckReady() error {
 // SetFaults attaches a fault injector. Must be set before traffic;
 // a nil injector (the default) models a perfect device and leaves the
 // management path byte-identical to a build without fault support.
-func (m *Manager) SetFaults(inj *fault.Injector) {
-	m.faults = inj
-	if inj != nil && m.cfg.Design.Dynamic() {
-		m.tableRetries = make(map[uint64]int)
-	}
-}
+func (m *Manager) SetFaults(inj *fault.Injector) { m.faults = inj }
 
 // Faults returns the attached injector (nil when none).
 func (m *Manager) Faults() *fault.Injector { return m.faults }
@@ -250,10 +246,9 @@ func (m *Manager) TableBase() uint64 { return m.tableBase }
 // is pinned (the pool keys machines by design), as are the engine,
 // controller, and geometry; everything attached per run — LLC, static
 // assignment, profile, fault injector, telemetry — detaches. Touched
-// migration groups return to a freelist (reusable when GroupSize and
-// FastDenom carry over), the tag cache and filter reset in place when
-// their shapes match and rebuild otherwise, and the victim picker
-// re-seeds from cfg.Seed exactly as NewManager would.
+// migration groups return to a freelist, the tag cache and filter reset
+// in place when their shapes match and rebuild otherwise, and the
+// victim picker re-seeds from cfg.Seed exactly as NewManager would.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -267,7 +262,6 @@ func (m *Manager) Reset(cfg Config) error {
 	m.static, m.profile = nil, nil
 	m.faults = nil
 	m.checkInv = false
-	m.tableRetries = nil
 	m.consecAbandoned = 0
 	m.migBreaker = false
 	m.err = nil
@@ -277,22 +271,17 @@ func (m *Manager) Reset(cfg Config) error {
 	if !cfg.Design.Dynamic() {
 		return nil
 	}
-	sameShape := cfg.GroupSize == old.GroupSize && cfg.FastDenom == old.FastDenom
-	if !sameShape {
+	if cfg.GroupSize != old.GroupSize || cfg.FastDenom != old.FastDenom {
 		layout, err := NewLayout(m.geom, cfg.GroupSize, cfg.FastDenom)
 		if err != nil {
 			return err
 		}
 		m.layout = layout
-		m.freeGroups = nil
 	}
-	for id, grp := range m.groups {
-		if sameShape {
-			grp.reset()
-			m.freeGroups = append(m.freeGroups, grp)
-		}
-		delete(m.groups, id)
+	for _, grp := range m.groups {
+		m.freeGroups.push(grp)
 	}
+	clear(m.groups)
 	if cfg.TagCacheBytes == old.TagCacheBytes && cfg.TagCacheAssoc == old.TagCacheAssoc {
 		m.tagCache.Reset()
 	} else {
@@ -360,12 +349,14 @@ func (m *Manager) Access(req *mem.Request) {
 			req.Trace.StampXlat(m.eng.Now())
 		}
 		block := m.tableBlock(rowID)
-		if waiters, inFlight := m.pendingTag[block]; inFlight {
-			m.pendingTag[block] = append(waiters, req)
+		if f, inFlight := m.pendingTag[block]; inFlight {
+			f.waiters = append(f.waiters, req)
 			return
 		}
-		m.pendingTag[block] = []*mem.Request{req}
-		m.fetchTableBlock(block)
+		f := m.tableFetchSlot(block)
+		f.waiters = append(f.waiters, req)
+		m.pendingTag[block] = f
+		m.fetchTableBlock(f)
 	}
 }
 
@@ -375,30 +366,32 @@ func (m *Manager) tableBlock(rowID uint64) uint64 { return rowID >> 6 }
 // tableBlockAddr returns the physical address of a table block.
 func (m *Manager) tableBlockAddr(block uint64) uint64 { return m.tableBase + block<<6 }
 
-// fetchTableBlock reads a translation-table block through the LLC; on a
-// further miss the LLC fills it from DRAM via this manager (Meta path).
+// fetchTableBlock reads f's translation-table block through the LLC; on
+// a further miss the LLC fills it from DRAM via this manager (Meta path).
 // Missing wiring (no LLC in a dynamic design) is a configuration error:
 // it is recorded via fail so the run aborts with a diagnosable cause,
 // and the waiters are served identity-mapped from the slow level so the
 // requests complete instead of hanging. CheckReady catches this at
 // assembly time; this path is the run-time backstop.
-func (m *Manager) fetchTableBlock(block uint64) {
+func (m *Manager) fetchTableBlock(f *tableFetch) {
 	if m.llc == nil {
 		m.fail(fmt.Errorf("core: %v translation fetch with no LLC attached (SetLLC not called)", m.cfg.Design))
-		for _, req := range m.pendingTag[block] {
+		for _, req := range f.waiters {
 			m.enqueue(req, m.geom.Decode(req.Addr), dram.RowSlow, 0, false)
 		}
-		delete(m.pendingTag, block)
+		delete(m.pendingTag, f.block)
+		f.recycle()
 		return
 	}
 	m.Stats.TableFetches++
-	m.llc.Access(&mem.Request{
-		Addr:   m.tableBlockAddr(block),
+	f.r = mem.Request{
+		Addr:   m.tableBlockAddr(f.block),
 		Meta:   true,
 		Core:   -1,
 		Issued: m.eng.Now(),
-		Done:   func() { m.tableBlockArrived(block) },
-	})
+		Done:   f.doneFn,
+	}
+	m.llc.Access(&f.r)
 }
 
 // maxTableRefetches bounds consecutive ECC re-fetches of one table
@@ -415,37 +408,35 @@ const maxTableRefetches = 4
 // to retry only burns bank time for rows that will be pinned anyway.
 const migBreakerThreshold = 16
 
-// tableBlockArrived installs the fetched rows' entries and releases
-// waiters. A block that fails its ECC check is re-fetched through the
-// LLC path (bounded by maxTableRefetches) rather than installed, so a
-// corrupt translation never misdirects a request.
-func (m *Manager) tableBlockArrived(block uint64) {
-	if m.faults != nil {
-		if m.faults.TableBlockCorrupt() && m.tableRetries[block] < maxTableRefetches {
-			m.tableRetries[block]++
-			m.Stats.Faults.TableRefetches++
-			m.noteFault("fault: table ECC", int64(block))
-			m.fetchTableBlock(block)
-			return
-		}
-		delete(m.tableRetries, block)
+// tableBlockArrived installs the fetched rows' entries, releases the
+// waiters and recycles the fetch. A block that fails its ECC check is
+// re-fetched through the LLC path on the same slot (bounded by
+// maxTableRefetches) rather than installed, so a corrupt translation
+// never misdirects a request.
+func (m *Manager) tableBlockArrived(f *tableFetch) {
+	if m.faults != nil && m.faults.TableBlockCorrupt() && f.retries < maxTableRefetches {
+		f.retries++
+		m.Stats.Faults.TableRefetches++
+		m.noteFault("fault: table ECC", int64(f.block))
+		m.fetchTableBlock(f)
+		return
 	}
-	waiters := m.pendingTag[block]
-	delete(m.pendingTag, block)
-	for _, req := range waiters {
+	delete(m.pendingTag, f.block)
+	for _, req := range f.waiters {
 		coord := m.geom.Decode(req.Addr)
 		rowID := m.geom.RowID(coord)
 		m.tagCache.Insert(rowID)
 		m.translateAndEnqueue(req, coord, rowID)
 	}
+	f.recycle()
 }
 
 // PendingTranslations reports data requests currently waiting on
 // table-block fetches (watchdog diagnostics).
 func (m *Manager) PendingTranslations() int {
 	n := 0
-	for _, waiters := range m.pendingTag {
-		n += len(waiters)
+	for _, f := range m.pendingTag {
+		n += len(f.waiters)
 	}
 	return n
 }
@@ -457,26 +448,38 @@ func (m *Manager) DescribePending() string {
 		return ""
 	}
 	out := fmt.Sprintf("manager: %d table block(s) in flight:", len(m.pendingTag))
-	for block, waiters := range m.pendingTag {
-		out += fmt.Sprintf(" block %d (%d waiters)", block, len(waiters))
+	for block, f := range m.pendingTag {
+		out += fmt.Sprintf(" block %d (%d waiters)", block, len(f.waiters))
 	}
 	return out + "\n"
 }
 
-// group returns (allocating on demand) the translation state of g,
-// recycling a reset group from the freelist when one is available.
+// group returns (allocating on demand) the translation state of g.
 func (m *Manager) group(g uint64) *group {
 	grp, ok := m.groups[g]
 	if !ok {
-		if n := len(m.freeGroups); n > 0 {
-			grp = m.freeGroups[n-1]
-			m.freeGroups[n-1] = nil
-			m.freeGroups = m.freeGroups[:n-1]
-		} else {
-			grp = newGroup(m.layout.GroupSize(), m.layout.FastSlots())
-		}
+		grp = m.takeGroup()
 		m.groups[g] = grp
 	}
+	return grp
+}
+
+// takeGroup hands out a group of the current shape in its initial state:
+// a recycled one when the freelist has any, with its slices carved anew
+// from the arena only when they are too small for the shape.
+func (m *Manager) takeGroup() *group {
+	size, fast := m.layout.GroupSize(), m.layout.FastSlots()
+	grp := m.freeGroups.pop()
+	if grp == nil {
+		grp = m.arena.group()
+	}
+	if cap(grp.perm) < size {
+		grp.perm, grp.inv = carve(&m.arena.slots, size), carve(&m.arena.slots, size)
+	}
+	if cap(grp.lastUse) < fast {
+		grp.lastUse = carve(&m.arena.stamps, fast)
+	}
+	grp.init(size, fast)
 	return grp
 }
 
@@ -532,62 +535,6 @@ func (m *Manager) groupFenced(g uint64, grp *group) bool {
 	return grp.fenced
 }
 
-// ctlReq is one pooled controller-request slot: the mc.Request plus the
-// completion state enqueue used to capture in a per-access closure. The
-// doneFn/releaseFn method values are bound once when the slot is
-// created, so a recycled slot makes a whole DRAM access allocate
-// nothing. Slots are interchangeable: every field the simulation reads
-// is overwritten at enqueue.
-type ctlReq struct {
-	r       mc.Request
-	m       *Manager
-	done    func()
-	trigger bool
-	rowID   uint64
-	core    int
-
-	doneFn    func(mc.ServiceKind)
-	releaseFn func()
-}
-
-// complete is the request's Done: the original waiter first, then the
-// promotion trigger, exactly as the old closure ordered them.
-func (q *ctlReq) complete(kind mc.ServiceKind) {
-	if q.done != nil {
-		q.done()
-	}
-	if q.trigger {
-		q.m.Stats.SlowTriggers++
-		q.m.considerPromotion(q.rowID, q.core)
-	}
-}
-
-// release returns the slot to the manager's freelist once the
-// controller's last touch has passed (mc.Request.Release). Stale
-// pointers are cleared so a parked slot pins neither the waiter chain
-// nor a trace span.
-func (q *ctlReq) release() {
-	q.done = nil
-	q.r.Trace = nil
-	q.m.reqFree = append(q.m.reqFree, q)
-}
-
-// ctlReqSlot pops a recycled slot or mints one (two allocations: the
-// slot and its bound method values — paid once, amortized across the
-// run and across pooled-machine resets, which keep the freelist).
-func (m *Manager) ctlReqSlot() *ctlReq {
-	if n := len(m.reqFree); n > 0 {
-		q := m.reqFree[n-1]
-		m.reqFree[n-1] = nil
-		m.reqFree = m.reqFree[:n-1]
-		return q
-	}
-	q := &ctlReq{m: m}
-	q.doneFn = q.complete
-	q.releaseFn = q.release
-	return q
-}
-
 // enqueue forwards to the memory controller, wiring completion and the
 // promotion trigger.
 func (m *Manager) enqueue(req *mem.Request, coord dram.Coord, cls dram.RowClass, rowID uint64, trigger bool) {
@@ -640,73 +587,81 @@ func (m *Manager) considerPromotion(rowID uint64, coreID int) {
 		usable = func(p int) bool { return !m.slotWeak(g, p) }
 	}
 	victimPhys := m.picker.pick(grp, m.layout.FastSlots(), usable)
-	victimLogical := int(grp.inv[victimPhys])
 	grp.migrating = true
-	free := m.cfg.Design == DASFM || m.ctl.Device().MigrationLatency() == 0
+	p := m.promotionSlot()
+	p.grp, p.g, p.slot, p.rowID, p.core = grp, g, slot, rowID, coreID
+	p.victimPhys, p.victimLogical = victimPhys, int(grp.inv[victimPhys])
+	p.free = m.cfg.Design == DASFM || m.ctl.Device().MigrationLatency() == 0
 	// The swap starts from the promotee's current physical row (likely
 	// still open in the row buffer from the triggering access).
-	coord := m.geom.RowCoord(m.layout.RowOf(g, phys))
-	var commit func()
-	commit = func() {
-		if m.faults != nil && m.faults.MigrationFails() {
-			m.Stats.Faults.MigFailures++
-			m.noteFault("fault: migration", int64(rowID))
-			if grp.retries < m.cfg.MigRetries {
-				grp.retries++
-				m.Stats.Faults.MigRetries++
-				if free {
-					// Bound recursion depth and keep event ordering
-					// uniform: retry on a fresh event.
-					m.eng.Schedule(0, commit)
-				} else {
-					m.ctl.Migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
-				}
-				return
-			}
-			// Retries exhausted: abandon the swap and pin the row slow so
-			// the marginal lane is never exercised for it again. Enough
-			// consecutive abandonments (without a single success) indict
-			// the migration lane itself, not the row: trip the breaker and
-			// stop promoting device-wide.
-			grp.retries = 0
-			grp.migrating = false
-			grp.pin(slot)
-			m.Stats.Faults.PinnedRows++
-			m.noteFault("pinned slow", int64(rowID))
-			m.consecAbandoned++
-			if m.consecAbandoned >= migBreakerThreshold && !m.migBreaker {
-				m.migBreaker = true
-				m.Stats.Faults.MigBreakerTrips++
-				m.noteFault("migration breaker trip", -1)
+	p.coord = m.geom.RowCoord(m.layout.RowOf(g, phys))
+	if p.free {
+		p.commit()
+		return
+	}
+	m.ctl.Migrate(p.coord.Channel, p.coord.Rank, p.coord.Bank, p.coord.Row, p.commitFn)
+}
+
+// commit completes p's swap, or on an injected migration failure retries
+// it (up to MigRetries) or abandons it and pins the row slow. The slot
+// goes back to the freelist once the swap commits or is abandoned.
+func (p *promotion) commit() {
+	m, grp := p.m, p.grp
+	if m.faults != nil && m.faults.MigrationFails() {
+		m.Stats.Faults.MigFailures++
+		m.noteFault("fault: migration", int64(p.rowID))
+		if grp.retries < m.cfg.MigRetries {
+			grp.retries++
+			m.Stats.Faults.MigRetries++
+			if p.free {
+				// Bound recursion depth and keep event ordering
+				// uniform: retry on a fresh event.
+				m.eng.Schedule(0, p.commitFn)
+			} else {
+				m.ctl.Migrate(p.coord.Channel, p.coord.Rank, p.coord.Bank, p.coord.Row, p.commitFn)
 			}
 			return
 		}
+		// Retries exhausted: abandon the swap and pin the row slow so
+		// the marginal lane is never exercised for it again. Enough
+		// consecutive abandonments (without a single success) indict
+		// the migration lane itself, not the row: trip the breaker and
+		// stop promoting device-wide.
 		grp.retries = 0
-		m.consecAbandoned = 0
-		grp.swap(slot, victimLogical)
-		grp.lastUse[victimPhys] = m.eng.Now()
 		grp.migrating = false
-		m.Stats.Promotions++
-		if coreID >= 0 && coreID < len(m.Stats.PerCorePromotions) {
-			m.Stats.PerCorePromotions[coreID]++
+		grp.pin(p.slot)
+		m.Stats.Faults.PinnedRows++
+		m.noteFault("pinned slow", int64(p.rowID))
+		m.consecAbandoned++
+		if m.consecAbandoned >= migBreakerThreshold && !m.migBreaker {
+			m.migBreaker = true
+			m.Stats.Faults.MigBreakerTrips++
+			m.noteFault("migration breaker trip", -1)
 		}
-		victimRow := m.layout.RowOf(g, victimLogical)
-		// The swap just computed both rows' new entries: keep them hot in
-		// the tag cache (the promoted row is about to be re-accessed).
-		m.tagCache.Insert(rowID)
-		m.tagCache.Insert(victimRow)
-		m.writeTableEntries(rowID, victimRow)
-		if m.checkInv {
-			if err := m.checkSwap(g, grp, rowID, victimRow); err != nil {
-				m.fail(err)
-			}
-		}
-	}
-	if free {
-		commit()
+		p.recycle()
 		return
 	}
-	m.ctl.Migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
+	grp.retries = 0
+	m.consecAbandoned = 0
+	grp.swap(p.slot, p.victimLogical)
+	grp.lastUse[p.victimPhys] = m.eng.Now()
+	grp.migrating = false
+	m.Stats.Promotions++
+	if p.core >= 0 && p.core < len(m.Stats.PerCorePromotions) {
+		m.Stats.PerCorePromotions[p.core]++
+	}
+	victimRow := m.layout.RowOf(p.g, p.victimLogical)
+	// The swap just computed both rows' new entries: keep them hot in
+	// the tag cache (the promoted row is about to be re-accessed).
+	m.tagCache.Insert(p.rowID)
+	m.tagCache.Insert(victimRow)
+	m.writeTableEntries(p.rowID, victimRow)
+	if m.checkInv {
+		if err := m.checkSwap(p.g, grp, p.rowID, victimRow); err != nil {
+			m.fail(err)
+		}
+	}
+	p.recycle()
 }
 
 // writeTableEntries posts updates of the two swapped rows' table entries
@@ -723,13 +678,16 @@ func (m *Manager) writeTableEntries(rowA, rowB uint64) {
 // postTableWrite issues one posted table-block write.
 func (m *Manager) postTableWrite(block uint64) {
 	m.Stats.TableWrites++
-	m.llc.Access(&mem.Request{
+	w := m.tableWriteSlot()
+	w.r = mem.Request{
 		Addr:   m.tableBlockAddr(block),
 		Write:  true,
 		Meta:   true,
 		Core:   -1,
 		Issued: m.eng.Now(),
-	})
+		Done:   w.doneFn,
+	}
+	m.llc.Access(&w.r)
 }
 
 // PhysicalRow reports the current physical slot class of a logical row

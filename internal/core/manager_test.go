@@ -21,7 +21,10 @@ type harness struct {
 }
 
 // stubLLC forwards every access to the manager after a fixed delay,
-// counting traffic (it is the manager's translation path).
+// counting traffic (it is the manager's translation path). It forwards
+// through a ScheduleCall trampoline rather than a closure, so the stub
+// allocates nothing and any allocation a test sees is the manager's (or
+// the controller's) own.
 type stubLLC struct {
 	eng      *sim.Engine
 	mgr      *Manager
@@ -29,9 +32,11 @@ type stubLLC struct {
 	accesses int
 }
 
+func stubForward(mgr, req any) { mgr.(*Manager).Access(req.(*mem.Request)) }
+
 func (s *stubLLC) Access(req *mem.Request) {
 	s.accesses++
-	s.eng.Schedule(s.delay, func() { s.mgr.Access(req) })
+	s.eng.ScheduleCall(s.delay, stubForward, s.mgr, req)
 }
 
 func newHarness(t *testing.T, design Design, migLatNS float64) *harness {

@@ -65,6 +65,63 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPooledReshapeAndFaultsByteIdentical dirties one pooled DAS
+// machine twice — with 8-row and then 64-row migration groups, each
+// under migration failures and table ECC faults — before rewinding it
+// to the das/mcf stream case. The dirty runs recycle table-fetch slots
+// through ECC re-fetches and promotion slots through retries and pins,
+// and the group freelist crosses a shrink and a grow; the final run
+// must still replay a fresh build's command stream exactly.
+func TestPooledReshapeAndFaultsByteIdentical(t *testing.T) {
+	sc := streamCase{"das/mcf", core.DAS, []string{"mcf"}, 42, false}
+	freshN, freshSum := streamDigest(t, sc)
+
+	pool := NewSystemPool(0)
+	var sys *System
+	for _, groupSize := range []int{8, 64} {
+		dirty := caseConfig(sc)
+		dirty.GroupSize = groupSize
+		dirty.MigFailRate = 0.5
+		dirty.TableCorruptRate = 0.3
+		if sys == nil {
+			var err error
+			if sys, _, err = Build(dirty, sc.design, sc.benchmarks, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if got := pool.Get(&dirty, sc.design); got != sys {
+				t.Fatal("pool did not return the dirtied machine")
+			}
+			if _, err := sys.Reset(dirty, sc.design, sc.benchmarks, nil, false); err != nil {
+				t.Fatalf("Reset to group size %d: %v", groupSize, err)
+			}
+		}
+		sys.pool = pool
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("dirty run, group size %d: %v", groupSize, err)
+		}
+		f := sys.Mgr.Stats.Faults
+		if f.MigRetries == 0 || f.PinnedRows == 0 || f.TableRefetches == 0 {
+			t.Fatalf("group size %d: fault paths not exercised: %+v", groupSize, f)
+		}
+		pool.Put(sys)
+	}
+
+	cfg := caseConfig(sc)
+	if got := pool.Get(&cfg, sc.design); got != sys {
+		t.Fatal("pool did not return the dirtied machine")
+	}
+	if _, err := sys.Reset(cfg, sc.design, sc.benchmarks, nil, false); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	n, sum := digestRun(t, sys, sc.name)
+	if n != freshN || sum != freshSum {
+		t.Errorf("reshaped pooled run diverged: commands=%d fnv64a=%016x, fresh commands=%d fnv64a=%016x",
+			n, sum, freshN, freshSum)
+	}
+	pool.Drain()
+}
+
 // TestPooledFigureBytesMatchFresh pins the user-facing observable:
 // Figure 7a rendered by pool-disabled sessions and by two sessions
 // sharing one pool (the second running entirely on recycled machines)

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dram"
@@ -125,10 +126,10 @@ func (c *Controller) Reset(cfg Config) error {
 	clock := sim.NewClock(c.dev.ClockPeriod())
 	c.initCtlSched(c.eng, clock)
 	for _, cc := range c.chans {
-		clearPtrs(&cc.readQ)
-		clearPtrs(&cc.writeQ)
-		clearPtrs(&cc.migQ)
-		clearPtrs(&cc.traced)
+		clearQ(&cc.readQ)
+		clearQ(&cc.writeQ)
+		clearQ(&cc.migQ)
+		clearQ(&cc.traced)
 		for i := range cc.reserved {
 			cc.reserved[i] = false
 		}
@@ -148,9 +149,9 @@ func (c *Controller) Reset(cfg Config) error {
 	return nil
 }
 
-// clearPtrs empties a pointer-typed queue keeping its backing array,
-// zeroing the entries so the pooled slice does not pin dead requests.
-func clearPtrs[T any](q *[]*T) {
+// clearQ empties a queue keeping its backing array, zeroing the entries
+// so the pooled slice does not pin dead requests or callbacks.
+func clearQ[T any](q *[]T) {
 	clear(*q)
 	*q = (*q)[:0]
 }
@@ -191,7 +192,7 @@ func (c *Controller) Enqueue(req *Request) {
 // migration latency. done fires at completion.
 func (c *Controller) Migrate(channel, rank, bank, row int, done func()) {
 	cc := c.chans[channel]
-	cc.migQ = append(cc.migQ, &migOp{
+	cc.migQ = append(cc.migQ, migOp{
 		channel: channel, rank: rank, bank: bank, row: row,
 		done: done, enqueued: c.eng.Now(),
 	})
@@ -230,7 +231,8 @@ func (c *Controller) Describe() string {
 			fmt.Fprintf(&b, "  oldest write: rank %d bank %d row %d, waiting %.0f ns\n",
 				w.Coord.Rank, w.Coord.Bank, w.Coord.Row, (now - w.enqueued).NS())
 		}
-		for _, op := range cc.migQ {
+		for i := range cc.migQ {
+			op := &cc.migQ[i]
 			fmt.Fprintf(&b, "  migration: rank %d bank %d row %d, waiting %.0f ns\n",
 				op.rank, op.bank, op.row, (now - op.enqueued).NS())
 		}
@@ -255,7 +257,7 @@ type chanCtl struct {
 
 	readQ  []*Request
 	writeQ []*Request
-	migQ   []*migOp
+	migQ   []migOp
 
 	// traced holds queued reads carrying a reqtrace span, so refresh and
 	// migration occupancy can be credited to the requests they block
@@ -348,8 +350,8 @@ func (cc *chanCtl) bankBlocked(rank, bank int, t sim.Time) bool {
 	if !cc.bankReserved(rank, bank) {
 		return false
 	}
-	for _, op := range cc.migQ {
-		if op.rank == rank && op.bank == bank {
+	for i := range cc.migQ {
+		if op := &cc.migQ[i]; op.rank == rank && op.bank == bank {
 			return t-op.enqueued >= migGrace
 		}
 	}
@@ -455,7 +457,8 @@ const migGrace = 600 * sim.Nanosecond
 
 // issueMigration drives pending migrations on reserved banks.
 func (cc *chanCtl) issueMigration(t sim.Time) bool {
-	for qi, op := range cc.migQ {
+	for qi := range cc.migQ {
+		op := &cc.migQ[qi]
 		if cc.refreshPending[op.rank] {
 			continue
 		}
@@ -467,10 +470,12 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			if tel := cc.ctl.tel; tel != nil {
 				tel.noteMIG(t, end, cc.idx, op.rank, op.bank, op.row)
 			}
-			cc.migQ = append(cc.migQ[:qi], cc.migQ[qi+1:]...)
-			cc.unreserve(op)
-			if op.done != nil {
-				cc.ctl.eng.ScheduleAt(end, op.done)
+			// op points into migQ: read what outlives the removal first.
+			rank, bank, done := op.rank, op.bank, op.done
+			cc.migQ = slices.Delete(cc.migQ, qi, qi+1)
+			cc.unreserve(rank, bank)
+			if done != nil {
+				cc.ctl.eng.ScheduleAt(end, done)
 			}
 			return true
 		}
@@ -544,13 +549,13 @@ func (cc *chanCtl) pendingRowHit(rank, bank, row int) bool {
 
 // unreserve releases a bank reservation unless another queued migration
 // targets the same bank.
-func (cc *chanCtl) unreserve(op *migOp) {
-	for _, other := range cc.migQ {
-		if other.rank == op.rank && other.bank == op.bank {
+func (cc *chanCtl) unreserve(rank, bank int) {
+	for i := range cc.migQ {
+		if other := &cc.migQ[i]; other.rank == rank && other.bank == bank {
 			return
 		}
 	}
-	cc.reserved[op.rank*cc.ctl.dev.Geometry().Banks+op.bank] = false
+	cc.reserved[rank*cc.ctl.dev.Geometry().Banks+bank] = false
 }
 
 // updateDrainMode applies the write watermarks.

@@ -56,7 +56,8 @@ func (cc *chanCtl) horizon(t sim.Time) sim.Time {
 	}
 
 	// Migrations on non-refreshing ranks.
-	for _, op := range cc.migQ {
+	for i := range cc.migQ {
+		op := &cc.migQ[i]
 		if cc.refreshPending[op.rank] {
 			continue
 		}

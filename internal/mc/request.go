@@ -79,7 +79,8 @@ func fireDone(a, _ any) {
 
 // migOp is one pending migration (promotion swap) on a specific bank.
 // row is the physical source row being promoted: if it is already open,
-// the swap starts straight out of the row buffer.
+// the swap starts straight out of the row buffer. Queued by value: the
+// migration queue owns its ops, so a migration allocates nothing.
 type migOp struct {
 	channel, rank, bank, row int
 	done                     func()

@@ -12,6 +12,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -220,7 +222,14 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 		if spanRows > uint64(int(^uint32(0))) {
 			return nil, fmt.Errorf("workload %s: region too large for scatter permutation", p.Name)
 		}
-		perm := make([]uint32, spanRows)
+		buf, _ := scatterScratch.Get().(*[]uint32)
+		if buf == nil {
+			buf = new([]uint32)
+		}
+		if uint64(cap(*buf)) < spanRows {
+			*buf = make([]uint32, spanRows)
+		}
+		perm := (*buf)[:spanRows]
 		for i := range perm {
 			perm[i] = uint32(i)
 		}
@@ -230,10 +239,16 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 			j := i + uint64(shuffle.Intn(int(spanRows-i)))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		g.rowPerm = perm[:fpRows]
+		g.rowPerm = slices.Clone(perm[:fpRows])
+		scatterScratch.Put(buf)
 	}
 	return g, nil
 }
+
+// scatterScratch recycles the whole-region shuffle buffer of
+// NewSynthetic (a *[]uint32): a generator keeps only the footprint's
+// prefix of the permutation, so the region-sized rest is scratch.
+var scatterScratch sync.Pool
 
 func hashName(s string) uint64 {
 	var h uint64 = 14695981039346656037

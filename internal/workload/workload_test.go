@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func testProfile() Profile {
@@ -186,6 +189,45 @@ func TestScatterIsInjective(t *testing.T) {
 			t.Fatalf("scatter target %d outside region", v)
 		}
 	}
+}
+
+// TestScatterScratchMatchesFreshPermutation builds generators back to
+// back over growing and shrinking regions, so the recycled shuffle
+// buffer is reused both larger and smaller than the region and carries
+// the previous shuffle's entries; every rowPerm must equal one built
+// over a freshly allocated identity permutation.
+func TestScatterScratchMatchesFreshPermutation(t *testing.T) {
+	p := testProfile()
+	for i, mb := range []uint64{64, 16, 128, 16, 64} {
+		region := Region{Base: 1 << 30, Bytes: mb << 20}
+		seed := uint64(3 + i)
+		gen, err := NewSynthetic(p, region, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := gen.(*synth).rowPerm
+		want := referenceScatter(p, region, seed)
+		if !slices.Equal(got, want) {
+			t.Fatalf("region %d MB: rowPerm differs from a fresh permutation", mb)
+		}
+	}
+}
+
+// referenceScatter is NewSynthetic's scatter over a fresh identity
+// permutation of the whole region.
+func referenceScatter(p Profile, region Region, seed uint64) []uint32 {
+	spanRows := region.Bytes / scatterRowBytes
+	fpRows := (p.FootprintBytes + scatterRowBytes - 1) / scatterRowBytes
+	perm := make([]uint32, spanRows)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	shuffle := sim.NewRNG(seed ^ 0xC0FFEE ^ hashName(p.Name))
+	for i := uint64(0); i < fpRows && i < spanRows-1; i++ {
+		j := i + uint64(shuffle.Intn(int(spanRows-i)))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:fpRows]
 }
 
 func TestNoScatterIdentity(t *testing.T) {

@@ -165,11 +165,15 @@ echo "== bench regression gate (benchjson -compare vs BENCH_baseline.json)"
 go test -run '^$' -bench '^BenchmarkFig7a' -benchmem -benchtime 3x . |
     go run ./cmd/benchjson -compare BENCH_baseline.json
 
-echo "== fault-sweep smoke (dasbench -fig faults)"
+echo "== fault-sweep smoke (dasbench -fig faults, pooled vs -nopool)"
 # Tiny instruction budget: exercises every sweep point — including the
 # rate-1.0 full-degradation endpoints — with invariants and the watchdog
-# armed, in well under a minute.
-go run ./cmd/dasbench -fig faults -benchmarks mcf -instr 200000 >/dev/null
+# armed, in well under a minute. The pooled sweep recycles one machine's
+# table-fetch and promotion slots through ECC re-fetches, retries and
+# pins across points, so its output must match fresh-build machines.
+go run ./cmd/dasbench -fig faults -benchmarks mcf -instr 200000 >"$tmp_ref" 2>/dev/null
+go run ./cmd/dasbench -fig faults -benchmarks mcf -instr 200000 -nopool >"$tmp_obs" 2>/dev/null
+cmp "$tmp_ref" "$tmp_obs"
 
 echo "== server smoke (dasserve + dasload: dedup, exactness, streaming, drain)"
 # Start dasserve on an ephemeral port, fire a duplicate-heavy dasload

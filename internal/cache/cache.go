@@ -343,7 +343,6 @@ func (c *Cache) Reset() {
 		}
 		m.waiters = m.waiters[:0]
 		m.fillReq.Trace = nil
-		m.fillReq.Done = m.filled
 		c.mshrPool = append(c.mshrPool, m)
 		delete(c.mshrs, block)
 	}

@@ -241,3 +241,47 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("nil lower level accepted")
 	}
 }
+
+// holdBackend accepts every request and never completes it, leaving
+// each fill in flight.
+type holdBackend struct{}
+
+func (holdBackend) Access(*mem.Request) {}
+
+// TestResetInFlightAllocatesNothing resets a cache whose MSHRs all hold
+// fills in flight: the recycled slots keep the fill completion bound
+// when they were first made, so a reset allocates nothing.
+func TestResetInFlightAllocatesNothing(t *testing.T) {
+	c, err := New(Config{
+		Name: "test", SizeBytes: 4 << 10, Assoc: 2, BlockSize: 64, Latency: 10, MSHRs: 4,
+	}, sim.NewEngine(), holdBackend{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]mem.Request, 4)
+	for i := range reqs {
+		reqs[i].Addr = uint64(i) << 12
+	}
+	fillMSHRs := func() {
+		for i := range reqs {
+			c.lookup(&reqs[i])
+		}
+	}
+	fillMSHRs()
+	if c.OutstandingMisses() != len(reqs) {
+		t.Fatalf("%d MSHRs in flight, want %d", c.OutstandingMisses(), len(reqs))
+	}
+	if n := testing.AllocsPerRun(10, func() { c.Reset(); fillMSHRs() }); n != 0 {
+		t.Fatalf("Reset with %d fills in flight allocated %.1f objects per run, want 0", len(reqs), n)
+	}
+	c.Reset()
+	if c.OutstandingMisses() != 0 || len(c.mshrPool) != len(reqs) {
+		t.Fatalf("after Reset: %d in flight, %d pooled; want 0 and %d",
+			c.OutstandingMisses(), len(c.mshrPool), len(reqs))
+	}
+	for _, m := range c.mshrPool {
+		if m.fillReq.Done == nil {
+			t.Fatal("pooled MSHR lost its fill completion")
+		}
+	}
+}

@@ -78,3 +78,15 @@ func (t *Tags) Reset() {
 	clear(t.stamp)
 	t.clock = 0
 }
+
+// Reshape returns the array to a NewTags(sets, ways) state, reslicing
+// the existing backing arrays when their capacity suffices.
+func (t *Tags) Reshape(sets, ways int) {
+	n := sets * ways
+	if cap(t.tag) < n {
+		*t = NewTags(sets, ways)
+		return
+	}
+	t.tag, t.stamp, t.ways = t.tag[:n], t.stamp[:n], ways
+	t.Reset()
+}

@@ -221,7 +221,7 @@ func (m *Manager) SetStaticAssignment(a *StaticAssignment) { m.static = a }
 // EnableProfiling starts recording per-row demand-read counts and
 // returns the profile being filled.
 func (m *Manager) EnableProfiling() *RowProfile {
-	m.profile = NewRowProfile()
+	m.profile = NewGeometryProfile(m.geom)
 	return m.profile
 }
 
@@ -246,8 +246,8 @@ func (m *Manager) TableBase() uint64 { return m.tableBase }
 // is pinned (the pool keys machines by design), as are the engine,
 // controller, and geometry; everything attached per run — LLC, static
 // assignment, profile, fault injector, telemetry — detaches. Touched
-// migration groups return to a freelist, the tag cache and filter reset
-// in place when their shapes match and rebuild otherwise, and the
+// migration groups return to a freelist, the tag cache and filter
+// reshape in place (reallocating only to grow), and the
 // victim picker re-seeds from cfg.Seed exactly as NewManager would.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
@@ -282,23 +282,11 @@ func (m *Manager) Reset(cfg Config) error {
 		m.freeGroups.push(grp)
 	}
 	clear(m.groups)
-	if cfg.TagCacheBytes == old.TagCacheBytes && cfg.TagCacheAssoc == old.TagCacheAssoc {
-		m.tagCache.Reset()
-	} else {
-		tc, err := NewTagCache(cfg.TagCacheBytes, cfg.TagCacheAssoc)
-		if err != nil {
-			return err
-		}
-		m.tagCache = tc
+	if err := m.tagCache.Reshape(cfg.TagCacheBytes, cfg.TagCacheAssoc); err != nil {
+		return err
 	}
-	if cfg.FilterThreshold == old.FilterThreshold && cfg.FilterCounters == old.FilterCounters {
-		m.filter.Reset()
-	} else {
-		f, err := NewFilter(cfg.FilterThreshold, cfg.FilterCounters)
-		if err != nil {
-			return err
-		}
-		m.filter = f
+	if err := m.filter.Reshape(cfg.FilterThreshold, cfg.FilterCounters); err != nil {
+		return err
 	}
 	m.picker = victimPicker{policy: cfg.Replacement, rng: sim.NewRNG(cfg.Seed)}
 	clear(m.pendingTag)

@@ -138,16 +138,9 @@ type Filter struct {
 // NewFilter builds a filter; capacity is the number of hardware counters
 // (the paper evaluates 1024).
 func NewFilter(threshold, capacity int) (*Filter, error) {
-	if threshold < 1 {
-		return nil, fmt.Errorf("core: filter threshold must be >= 1, got %d", threshold)
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("core: filter capacity must be positive, got %d", capacity)
-	}
-	f := &Filter{threshold: threshold, capacity: capacity}
-	if threshold > 1 {
-		f.counts = make(map[uint64]int, capacity)
-		f.order = make([]uint64, 0, capacity)
+	f := new(Filter)
+	if err := f.Reshape(threshold, capacity); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -155,16 +148,30 @@ func NewFilter(threshold, capacity int) (*Filter, error) {
 // Threshold returns the configured promotion threshold.
 func (f *Filter) Threshold() int { return f.threshold }
 
-// Reset clears all counters and the tracked-row table, leaving the
-// filter indistinguishable from a fresh NewFilter with the same
-// parameters. Map buckets and the order ring's backing are retained.
-func (f *Filter) Reset() {
+// Reshape clears all counters and the tracked-row table, leaving the
+// filter indistinguishable from a fresh NewFilter(threshold, capacity).
+// Map buckets and the order ring's backing are retained, the ring
+// regrowing only when capacity exceeds it.
+func (f *Filter) Reshape(threshold, capacity int) error {
+	if threshold < 1 {
+		return fmt.Errorf("core: filter threshold must be >= 1, got %d", threshold)
+	}
+	if capacity <= 0 {
+		return fmt.Errorf("core: filter capacity must be positive, got %d", capacity)
+	}
+	f.threshold, f.capacity = threshold, capacity
 	if f.counts != nil {
 		clear(f.counts)
-		f.order = f.order[:0]
-		f.head = 0
+	} else if threshold > 1 {
+		f.counts = make(map[uint64]int, capacity)
 	}
+	if cap(f.order) < capacity && threshold > 1 {
+		f.order = make([]uint64, 0, capacity)
+	}
+	f.order = f.order[:0]
+	f.head = 0
 	f.Rejects = 0
+	return nil
 }
 
 // Allow records a slow-level hit on row and reports whether the row

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dram"
 )
@@ -12,17 +13,22 @@ import (
 // paper's offline profiling of each workload.
 //
 // Global row ids are dense (Geometry.RowID), so the counts live in a
-// flat slice grown on demand: the profiling pass records tens of
-// millions of touches, and a map's hash-and-probe per touch dominated
-// its cost.
+// flat slice: the profiling pass records tens of millions of touches,
+// and a map's hash-and-probe per touch dominated its cost.
 type RowProfile struct {
 	counts   []uint64 // indexed by global row id
 	distinct int
 }
 
-// NewRowProfile returns an empty profile.
+// NewRowProfile returns an empty profile that grows on demand.
 func NewRowProfile() *RowProfile {
 	return &RowProfile{}
+}
+
+// NewGeometryProfile returns an empty profile sized once to every row
+// of geom, so recording any of its rows never reallocates.
+func NewGeometryProfile(geom dram.Geometry) *RowProfile {
+	return &RowProfile{counts: make([]uint64, geom.TotalRows())}
 }
 
 // Record adds one access to a global row id.
@@ -50,9 +56,11 @@ func (p *RowProfile) Count(rowID uint64) uint64 {
 }
 
 // StaticAssignment marks which rows a static design pre-assigned to the
-// fast level.
+// fast level: one bit per global row id, so the lookup on every DRAM
+// request of a static design is a word load and a mask.
 type StaticAssignment struct {
-	fast map[uint64]struct{}
+	bits []uint64 // bit r%64 of word r/64 set: row r is fast
+	n    int
 }
 
 // IsFast reports whether a global row id was assigned to the fast level.
@@ -60,8 +68,8 @@ func (a *StaticAssignment) IsFast(rowID uint64) bool {
 	if a == nil {
 		return false
 	}
-	_, ok := a.fast[rowID]
-	return ok
+	w := rowID / 64
+	return w < uint64(len(a.bits)) && a.bits[w]&(1<<(rowID%64)) != 0
 }
 
 // FastRows returns the number of assigned rows.
@@ -69,42 +77,44 @@ func (a *StaticAssignment) FastRows() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.fast)
+	return a.n
+}
+
+// rowCount is one touched row of a bank, ranked by BuildStaticAssignment.
+type rowCount struct {
+	row   uint64
+	count uint64
 }
 
 // BuildStaticAssignment selects, within every bank, the hottest
 // rows-per-bank/fastDenom rows of the profile. The per-bank constraint
 // reflects that fast subarrays are distributed across banks: a bank's
-// fast capacity cannot host another bank's rows.
+// fast capacity cannot host another bank's rows. Rows rank by count,
+// descending, with the lower row id first among equals.
 func BuildStaticAssignment(p *RowProfile, geom dram.Geometry, fastDenom int) *StaticAssignment {
-	perBankQuota := geom.Rows / fastDenom
-	type rowCount struct {
-		row   uint64
-		count uint64
-	}
-	byBank := make(map[int][]rowCount)
-	for row, count := range p.counts {
-		if count == 0 {
-			continue
-		}
-		bank := row / geom.Rows
-		byBank[bank] = append(byBank[bank], rowCount{uint64(row), count})
-	}
-	a := &StaticAssignment{fast: make(map[uint64]struct{})}
-	for _, rows := range byBank {
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].count != rows[j].count {
-				return rows[i].count > rows[j].count
+	quota := geom.Rows / fastDenom
+	a := &StaticAssignment{bits: make([]uint64, (len(p.counts)+63)/64)}
+	var rows []rowCount // one bank's touched rows; reused across banks
+	for lo := 0; lo < len(p.counts); lo += geom.Rows {
+		rows = rows[:0]
+		for i, count := range p.counts[lo:min(lo+geom.Rows, len(p.counts))] {
+			if count != 0 {
+				rows = append(rows, rowCount{uint64(lo + i), count})
 			}
-			return rows[i].row < rows[j].row // deterministic tie-break
-		})
-		n := perBankQuota
-		if n > len(rows) {
-			n = len(rows)
 		}
-		for _, rc := range rows[:n] {
-			a.fast[rc.row] = struct{}{}
+		if len(rows) > quota {
+			slices.SortFunc(rows, func(x, y rowCount) int {
+				if x.count != y.count {
+					return cmp.Compare(y.count, x.count)
+				}
+				return cmp.Compare(x.row, y.row)
+			})
+			rows = rows[:quota]
 		}
+		for _, rc := range rows {
+			a.bits[rc.row/64] |= 1 << (rc.row % 64)
+		}
+		a.n += len(rows)
 	}
 	return a
 }

@@ -29,11 +29,11 @@ type TagCache struct {
 // NewTagCache builds a cache of capacityBytes with the given
 // associativity over per-row entries.
 func NewTagCache(capacityBytes, assoc int) (*TagCache, error) {
-	nsets, ways, err := tagCacheShape(capacityBytes, assoc)
-	if err != nil {
+	tc := new(TagCache)
+	if err := tc.Reshape(capacityBytes, assoc); err != nil {
 		return nil, err
 	}
-	return &TagCache{tags: cache.NewTags(nsets, ways), setMask: uint64(nsets - 1)}, nil
+	return tc, nil
 }
 
 // tagCacheShape returns the set count and ways NewTagCache builds for
@@ -115,10 +115,17 @@ func (tc *TagCache) Contains(row uint64) bool {
 // checks). Iteration order is deterministic: set-major, way-minor.
 func (tc *TagCache) VisitValid(fn func(row uint64)) { tc.tags.VisitValid(fn) }
 
-// Reset invalidates every entry and rewinds the recency clock and
+// Reshape invalidates every entry and rewinds the recency clock and
 // counters, leaving the cache indistinguishable from a fresh
-// NewTagCache of the same shape. The tag array is retained.
-func (tc *TagCache) Reset() {
-	tc.tags.Reset()
+// NewTagCache(capacityBytes, assoc). The tag array is resliced in place
+// when it is large enough for the new shape.
+func (tc *TagCache) Reshape(capacityBytes, assoc int) error {
+	nsets, ways, err := tagCacheShape(capacityBytes, assoc)
+	if err != nil {
+		return err
+	}
+	tc.tags.Reshape(nsets, ways)
+	tc.setMask = uint64(nsets - 1)
 	tc.Lookups, tc.Hits = 0, 0
+	return nil
 }

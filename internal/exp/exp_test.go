@@ -41,6 +41,25 @@ func TestMakeGeneratorDesignIndependent(t *testing.T) {
 	}
 }
 
+// TestMakeGeneratorAllocatesOnlyGenerator pins the per-run cost of a
+// generator once its scatter permutation is cached: pooled System.Reset
+// rebuilds every core's generator, and the catalog lookup, RNG and
+// permutation prefix must all come without a heap object of their own.
+func TestMakeGeneratorAllocatesOnlyGenerator(t *testing.T) {
+	cfg := tinyConfig()
+	if _, err := MakeGenerator(cfg, "mcf", 1); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := MakeGenerator(cfg, "mcf", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("MakeGenerator allocated %.1f objects per call after warm-up, want 1 (the generator)", n)
+	}
+}
+
 func TestCoreSpanRowAlignedAndDisjoint(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Cores = 4

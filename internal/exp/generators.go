@@ -97,7 +97,7 @@ func ProfilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, erro
 
 func profilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
 	geom := cfg.Geometry()
-	prof := core.NewRowProfile()
+	prof := core.NewGeometryProfile(geom)
 	var in workload.Instr
 	for i, name := range benchmarks {
 		gen, err := MakeGenerator(cfg, name, i)

@@ -122,6 +122,61 @@ func TestPooledReshapeAndFaultsByteIdentical(t *testing.T) {
 	pool.Drain()
 }
 
+// TestPooledTagCacheAndFilterReshapeByteIdentical walks one pooled DAS
+// machine through tag-cache shapes and filter shapes going up, then
+// down: each Reset reshapes the tag cache and filter in place (growing
+// their backing or reslicing it smaller, with the associativity moving
+// too), and every step's run must replay a fresh build's command
+// stream exactly.
+func TestPooledTagCacheAndFilterReshapeByteIdentical(t *testing.T) {
+	sc := streamCase{"das/mcf", core.DAS, []string{"mcf"}, 42, false}
+	steps := []struct{ tagKB, tagAssoc, threshold, counters int }{
+		{4, 8, 1, 1024}, // the stream case's own knobs
+		{8, 16, 2, 64},
+		{32, 4, 4, 4096},
+		{2, 2, 3, 16},
+		{4, 8, 1, 1024},
+	}
+	pool := NewSystemPool(0)
+	var sys *System
+	sums := map[uint64]bool{}
+	for _, st := range steps {
+		cfg := caseConfig(sc)
+		cfg.TagCacheKB, cfg.TagCacheAssoc = st.tagKB, st.tagAssoc
+		cfg.FilterThreshold, cfg.FilterCounters = st.threshold, st.counters
+		fresh, _, err := Build(cfg, sc.design, sc.benchmarks, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshN, freshSum := digestRun(t, fresh, sc.name)
+		sums[freshSum] = true
+
+		if sys == nil {
+			if sys, _, err = Build(cfg, sc.design, sc.benchmarks, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if got := pool.Get(&cfg, sc.design); got != sys {
+				t.Fatal("pool did not return the dirtied machine")
+			}
+			if _, err := sys.Reset(cfg, sc.design, sc.benchmarks, nil, false); err != nil {
+				t.Fatalf("Reset to %+v: %v", st, err)
+			}
+		}
+		sys.pool = pool
+		n, sum := digestRun(t, sys, sc.name)
+		if n != freshN || sum != freshSum {
+			t.Errorf("%+v: pooled run diverged: commands=%d fnv64a=%016x, fresh commands=%d fnv64a=%016x",
+				st, n, sum, freshN, freshSum)
+		}
+		pool.Put(sys)
+	}
+	if len(sums) < 3 {
+		t.Fatalf("only %d distinct streams over %d knob steps: the knobs did not reach the run", len(sums), len(steps))
+	}
+	pool.Drain()
+}
+
 // TestPooledFigureBytesMatchFresh pins the user-facing observable:
 // Figure 7a rendered by pool-disabled sessions and by two sessions
 // sharing one pool (the second running entirely on recycled machines)

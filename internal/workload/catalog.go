@@ -90,9 +90,13 @@ func Catalog() []Profile {
 	}
 }
 
+// catalog is Catalog's result built once, so Lookup — called for every
+// generator a run builds — copies one profile instead of the table.
+var catalog = Catalog()
+
 // Lookup returns the catalog profile with the given name.
 func Lookup(name string) (Profile, error) {
-	for _, p := range Catalog() {
+	for _, p := range catalog {
 		if p.Name == name {
 			return p, nil
 		}

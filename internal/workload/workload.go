@@ -138,7 +138,7 @@ func (p *Profile) Validate() error {
 type synth struct {
 	p      Profile
 	region Region
-	rng    *sim.RNG
+	rng    sim.RNG
 
 	// cumulative mixture thresholds in [0,1)
 	cLocal, cStream, cStride, cHot float64
@@ -159,7 +159,8 @@ type synth struct {
 	strideStep uint64 // StrideBytes mod footprint
 
 	// rowPerm maps virtual row index -> physical row index within the
-	// footprint (the OS page-allocation scatter).
+	// footprint (the OS page-allocation scatter). It is shared with every
+	// generator of the same permutation key (permCache): never write it.
 	rowPerm []uint32
 }
 
@@ -189,7 +190,7 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 	g := &synth{
 		p:      p,
 		region: region,
-		rng:    sim.NewRNG(seed ^ hashName(p.Name)),
+		rng:    *sim.NewRNG(seed ^ hashName(p.Name)),
 		cLocal: p.LocalWeight / total,
 	}
 	g.cStream = g.cLocal + p.StreamWeight/total
@@ -222,33 +223,67 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 		if spanRows > uint64(int(^uint32(0))) {
 			return nil, fmt.Errorf("workload %s: region too large for scatter permutation", p.Name)
 		}
-		buf, _ := scatterScratch.Get().(*[]uint32)
-		if buf == nil {
-			buf = new([]uint32)
-		}
-		if uint64(cap(*buf)) < spanRows {
-			*buf = make([]uint32, spanRows)
-		}
-		perm := (*buf)[:spanRows]
-		for i := range perm {
-			perm[i] = uint32(i)
-		}
-		shuffle := sim.NewRNG(seed ^ 0xC0FFEE ^ hashName(p.Name))
-		// Partial Fisher-Yates: only the first fpRows entries are used.
-		for i := uint64(0); i < fpRows && i < spanRows-1; i++ {
-			j := i + uint64(shuffle.Intn(int(spanRows-i)))
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		g.rowPerm = slices.Clone(perm[:fpRows])
-		scatterScratch.Put(buf)
+		g.rowPerm = scatterPerms.prefix(seed^0xC0FFEE^hashName(p.Name), spanRows, fpRows)
 	}
 	return g, nil
 }
 
-// scatterScratch recycles the whole-region shuffle buffer of
-// NewSynthetic (a *[]uint32): a generator keeps only the footprint's
-// prefix of the permutation, so the region-sized rest is scratch.
-var scatterScratch sync.Pool
+// permKey names one scatter permutation prefix: the first fpRows
+// entries of a shuffle of spanRows rows drawn from seed.
+type permKey struct{ seed, spanRows, fpRows uint64 }
+
+// permCache shares scatter permutation prefixes between generators. A
+// prefix is a pure function of its key and read-only once built, so the
+// profile pass and every run of a benchmark read one copy instead of
+// re-shuffling the core's whole region per generator.
+type permCache struct {
+	mu sync.Mutex
+	// limit bounds the cached prefixes' bytes; an insert past it empties
+	// the cache first, so long-lived processes sweeping many configs
+	// cannot pin unbounded memory.
+	limit uint64
+	bytes uint64
+	m     map[permKey][]uint32
+	// scratch is the whole-region shuffle buffer: a generator keeps
+	// only the footprint's prefix, so the region-sized rest is reused.
+	scratch []uint32
+}
+
+// scatterPerms is the process-wide prefix cache NewSynthetic draws from.
+var scatterPerms = permCache{limit: 64 << 20}
+
+// prefix returns the shared, read-only prefix for (seed, spanRows,
+// fpRows), shuffling it on a miss.
+func (c *permCache) prefix(seed, spanRows, fpRows uint64) []uint32 {
+	k := permKey{seed, spanRows, fpRows}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if perm, ok := c.m[k]; ok {
+		return perm
+	}
+	if uint64(cap(c.scratch)) < spanRows {
+		c.scratch = make([]uint32, spanRows)
+	}
+	perm := c.scratch[:spanRows]
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	shuffle := sim.NewRNG(seed)
+	// Partial Fisher-Yates: only the first fpRows entries are used.
+	for i := uint64(0); i < fpRows && i < spanRows-1; i++ {
+		j := i + uint64(shuffle.Intn(int(spanRows-i)))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	out := slices.Clone(perm[:fpRows])
+	size := 4 * fpRows
+	if c.m == nil || c.bytes+size > c.limit {
+		c.m = make(map[permKey][]uint32)
+		c.bytes = 0
+	}
+	c.m[k] = out
+	c.bytes += size
+	return out
+}
 
 func hashName(s string) uint64 {
 	var h uint64 = 14695981039346656037

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,90 @@ func referenceScatter(p Profile, region Region, seed uint64) []uint32 {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm[:fpRows]
+}
+
+// TestScatterMemoHitSharesPrefix builds two generators with the same
+// permutation key: the second is a memo hit that must return the first
+// one's prefix — the same backing array — equal to a fresh shuffle.
+func TestScatterMemoHitSharesPrefix(t *testing.T) {
+	p, region := testProfile(), testRegion()
+	a, err := NewSynthetic(p, region, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSynthetic(p, region, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := a.(*synth).rowPerm, b.(*synth).rowPerm
+	if &pa[0] != &pb[0] {
+		t.Fatal("memo hit copied the prefix instead of sharing it")
+	}
+	if !slices.Equal(pb, referenceScatter(p, region, 21)) {
+		t.Fatal("memoized prefix differs from a fresh permutation")
+	}
+}
+
+// TestScatterMemoEvictsAtByteBound fills a cache bounded to three
+// prefixes with four: the fourth insert must empty it first, and a
+// re-miss on an evicted key must rebuild an equal prefix.
+func TestScatterMemoEvictsAtByteBound(t *testing.T) {
+	p, region := testProfile(), testRegion()
+	spanRows := region.Bytes / scatterRowBytes
+	fpRows := p.FootprintBytes / scatterRowBytes
+	c := permCache{limit: 3 * 4 * fpRows}
+	key := func(seed uint64) uint64 { return seed ^ 0xC0FFEE ^ hashName(p.Name) }
+	first := c.prefix(key(1), spanRows, fpRows)
+	for seed := uint64(2); seed <= 3; seed++ {
+		c.prefix(key(seed), spanRows, fpRows)
+	}
+	if len(c.m) != 3 || c.bytes != c.limit {
+		t.Fatalf("after three inserts: %d entries, %d B; want 3 and %d B", len(c.m), c.bytes, c.limit)
+	}
+	c.prefix(key(4), spanRows, fpRows)
+	if len(c.m) != 1 || c.bytes != 4*fpRows {
+		t.Fatalf("insert past the bound kept %d entries, %d B; want 1 and %d B", len(c.m), c.bytes, 4*fpRows)
+	}
+	again := c.prefix(key(1), spanRows, fpRows)
+	if &again[0] == &first[0] {
+		t.Fatal("evicted prefix was not rebuilt")
+	}
+	if !slices.Equal(again, first) || !slices.Equal(again, referenceScatter(p, region, 1)) {
+		t.Fatal("prefix rebuilt after eviction differs from the original")
+	}
+}
+
+// TestScatterMemoConcurrent builds generators over a handful of keys
+// from several goroutines at once (run under -race): every prefix must
+// equal a fresh permutation, whichever goroutine shuffled it.
+func TestScatterMemoConcurrent(t *testing.T) {
+	p := testProfile()
+	regions := []Region{{Base: 0, Bytes: 16 << 20}, {Base: 1 << 30, Bytes: 32 << 20}, testRegion()}
+	want := make([][][]uint32, len(regions))
+	for r, region := range regions {
+		for seed := uint64(0); seed < 3; seed++ {
+			want[r] = append(want[r], referenceScatter(p, region, 100+seed))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 9; i++ {
+				r, seed := (w+i)%len(regions), uint64(i%3)
+				gen, err := NewSynthetic(p, regions[r], 100+seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(gen.(*synth).rowPerm, want[r][seed]) {
+					t.Errorf("region %d seed %d: concurrent prefix differs from a fresh permutation", r, seed)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestNoScatterIdentity(t *testing.T) {

@@ -147,6 +147,7 @@ go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
 go test -tags sim_refheap -run '^$' -fuzz FuzzScheduleOrder -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
 go test -run '^$' -fuzz FuzzTagCache -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz FuzzStaticAssignment -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzCanonicalize -fuzztime 10s ./internal/serve
 
 echo "== benchmark smoke (1 iteration per benchmark)"
